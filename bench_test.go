@@ -75,10 +75,11 @@ func BenchmarkAlgoChangLiScaled(b *testing.B) {
 }
 
 // BenchmarkAlgoChangLiLarge is the large-graph decomposition benchmark the
-// -cpu sweep reads for parallel speedup: the GNP instance is big enough
-// that BFS frontier degree sums clear the parallel dispatch threshold, and
-// Workers is left zero so -cpu (via GOMAXPROCS) controls the worker count.
-// Output is bit-identical at every -cpu value; only the time moves.
+// -cpu sweep reads for parallel speedup: the GNP instance has enough
+// vertices and sampled centres for the per-vertex ball sizes and the
+// per-centre carves to fill a worker pool, and Workers is left zero so
+// -cpu (via GOMAXPROCS) controls the worker count. Output is
+// bit-identical at every -cpu value; only the time moves.
 func BenchmarkAlgoChangLiLarge(b *testing.B) {
 	g := gen.GNP(60000, 8.0/60000, xrand.New(7))
 	b.ReportAllocs()

@@ -423,7 +423,7 @@ func run(args []string, w io.Writer) error {
 	capacity := fs.Int("capacity", 0, "engine cache capacity (0 = default)")
 	shards := fs.Int("shards", 0, "engine shard count (0 = default; rounded to a power of two)")
 	repairK := fs.Int("repairk", 16, "delta-repair ancestry window: a cache miss repairs a cached result up to this many mutations old instead of recomputing (0 = always recompute)")
-	workers := fs.Int("workers", 0, "per-query worker bound for parallel BFS inside algorithm runs (0 = GOMAXPROCS); results are bit-identical at any setting")
+	workers := fs.Int("workers", 0, "per-query worker bound for the task fan-out inside algorithm runs (0 = GOMAXPROCS); results are bit-identical at any setting")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	trace := fs.String("trace", "", "replay this request trace instead of synthesizing")
 	timeout := fs.Duration("timeout", 0, "per-request deadline (0 = none); expired requests are counted, not fatal")

@@ -70,7 +70,6 @@ func registerDecompositions() {
 				Seed:       d.uint("seed", 1),
 				Scale:      d.float("scale", 0),
 				SkipPhase2: d.bool("skip2", false),
-				Workers:    d.int("workers", 0),
 			}
 			if d.err != nil {
 				return nil, d.err
@@ -275,10 +274,9 @@ func registerDecompositions() {
 		Repair: func(ctx context.Context, gv graph.View, old *Result, p Params, delta ldd.EdgeDelta) (*Result, error) {
 			d := decoder{p: p}
 			ep := ldd.ENParams{
-				Lambda:  d.float("lambda", 0.5),
-				NTilde:  d.int("ntilde", 0),
-				Seed:    d.uint("seed", 1),
-				Workers: d.int("workers", 0),
+				Lambda: d.float("lambda", 0.5),
+				NTilde: d.int("ntilde", 0),
+				Seed:   d.uint("seed", 1),
 			}
 			if d.err != nil {
 				return nil, d.err
@@ -289,7 +287,6 @@ func registerDecompositions() {
 			}
 			out, rep, err := ldd.RepairCoverDelta(ctx, gv, c, delta, ldd.RepairCoverParams{
 				WeakBound: ep.WeakDiameterBound(gv.N()),
-				Workers:   ep.Workers,
 			})
 			if err != nil {
 				return nil, err
@@ -379,7 +376,6 @@ func repairDecompositionResult(ctx context.Context, gv graph.View, old *Result, 
 	out, rep, err := ldd.RepairDelta(ctx, gv, dec, delta, ldd.RepairDeltaParams{
 		Epsilon:   lp.Epsilon,
 		WeakBound: lp.WeakDiameterBound(gv.N()),
-		Workers:   lp.Workers,
 	})
 	if err != nil {
 		return nil, err

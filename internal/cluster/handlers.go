@@ -380,6 +380,10 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	n.markUp()
 	defer resp.Body.Close()
+	// The member may answer before the client has finished sending: keep
+	// relaying the request body after the response starts (see the
+	// backend's handleBatch).
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)

@@ -54,6 +54,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -266,8 +267,6 @@ type Engine struct {
 	repairedClusters atomic.Uint64
 
 	met *obs.EngineMetrics
-
-	wsPool sync.Pool // *graph.Workspace reservoir for the query paths
 }
 
 // New constructs an Engine.
@@ -296,7 +295,6 @@ func New(o Options) *Engine {
 		}
 		e.shards[i] = newShard(c)
 	}
-	e.wsPool.New = func() any { return graph.NewWorkspace(0) }
 	return e
 }
 
@@ -430,10 +428,22 @@ type StoreHandle struct {
 // Store returns the underlying store.
 func (sh StoreHandle) Store() *store.Store { return sh.st }
 
-func (sh StoreHandle) resolve() sourceView {
-	snap := sh.st.Snapshot()
-	return sourceView{fp: snap.Fingerprint(), snap: snap}
+func (sh StoreHandle) resolve() sourceView { return Pin(sh.st.Snapshot()).resolve() }
+
+// Pinned serves requests against one fixed store snapshot instead of the
+// store's current one. A caller that has already resolved the version it
+// answers for — a handler stamping the snapshot fingerprint into its
+// response — passes a Pinned source, so the answer and the stamp cannot
+// name different versions even if the store mutates in between. Like
+// Handle it wraps one pointer, so converting it to Source never allocates.
+type Pinned struct {
+	snap *store.Snapshot
 }
+
+// Pin returns a Source fixed at snap.
+func Pin(snap *store.Snapshot) Pinned { return Pinned{snap: snap} }
+
+func (p Pinned) resolve() sourceView { return sourceView{fp: p.snap.Fingerprint(), snap: p.snap} }
 
 // Register fingerprints g and returns a request handle. Graphs with equal
 // fingerprints collapse to the first registered instance, so two callers
@@ -770,10 +780,11 @@ func (e *Engine) ClusterOf(ctx context.Context, src Source, p ldd.Params, vs []i
 }
 
 // Balls answers a batch of ball queries N^radius(v) on src's current
-// snapshot, fanning out across the worker pool. Immutable handles run the
-// zero-allocation workspace path; store snapshots run directly on the
-// delta overlay (no CSR materialization). workers <= 0 means GOMAXPROCS.
-// The returned slices are caller-owned.
+// snapshot, fanning out across the worker pool with one pooled traversal
+// workspace per worker. Handles and store snapshots take the same path:
+// graph.ViewBall over the resolved view, so a snapshot is read straight
+// off its delta overlay (no CSR materialization). workers <= 0 means
+// GOMAXPROCS. The returned slices are caller-owned.
 func (e *Engine) Balls(ctx context.Context, src Source, vs []int32, radius, workers int) ([][]int32, error) {
 	e.queries.Add(1)
 	sv := src.resolve()
@@ -788,27 +799,16 @@ func (e *Engine) Balls(ctx context.Context, src Source, vs []int32, radius, work
 	if workers == 0 {
 		return out, nil
 	}
-	if sv.snap != nil {
-		err := par.ForEachCtx(ctx, workers, len(vs), func(_, i int) {
-			out[i] = sv.snap.Ball(int(vs[i]), radius)
-		})
-		if err != nil {
-			e.cancellations.Add(1)
-			return nil, err
-		}
-		return out, nil
-	}
-	g := sv.g
+	gv := sv.view()
 	wss := make([]*graph.Workspace, workers)
 	for i := range wss {
-		wss[i] = e.acquireWS()
+		wss[i] = graph.AcquireWorkspace()
 	}
 	err := par.ForEachCtx(ctx, workers, len(vs), func(w, i int) {
-		ball := g.BallWithWorkspace(wss[w], int(vs[i]), radius)
-		out[i] = append([]int32(nil), ball...)
+		out[i] = slices.Clone(graph.ViewBall(wss[w], gv, vs[i:i+1], radius))
 	})
 	for _, ws := range wss {
-		e.releaseWS(ws)
+		graph.ReleaseWorkspace(ws)
 	}
 	if err != nil {
 		e.cancellations.Add(1)
@@ -885,6 +885,3 @@ func (e *Engine) LocalSolves(ctx context.Context, src Source, p ldd.Params, inst
 	}
 	return out, nil
 }
-
-func (e *Engine) acquireWS() *graph.Workspace   { return e.wsPool.Get().(*graph.Workspace) }
-func (e *Engine) releaseWS(ws *graph.Workspace) { e.wsPool.Put(ws) }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/graphio"
+	"repro/internal/ldd"
 	"repro/internal/store"
 	"repro/internal/xrand"
 )
@@ -380,6 +382,67 @@ func TestStoreHandleServing(t *testing.T) {
 	}
 	if cl[0] != d3.ClusterOf[0] || cl[1] != d3.ClusterOf[42] {
 		t.Fatal("ClusterOf disagrees with the current-snapshot decomposition")
+	}
+}
+
+// TestPinnedSnapshotServesPinnedVersion pins the query contract: a
+// request against Pin(snap) answers for snap even after the store has
+// moved on, so a response stamped with snap's fingerprint carries answers
+// computed on that version.
+func TestPinnedSnapshotServesPinnedVersion(t *testing.T) {
+	st := store.New(gen.GNP(300, 6.0/300, xrand.New(21)))
+	e := New(Options{RepairK: 8})
+	h := e.RegisterStore(st)
+	p := testParams()
+	vs := []int32{0, 7, 150, 299}
+
+	snap := st.Snapshot()
+	pinned := Pin(snap)
+	old := snap.Graph()
+	// Chords through the query vertices change both kinds of answer.
+	for i, v := range vs {
+		st.AddEdge(int(v), int(vs[(i+2)%len(vs)]))
+		st.AddEdge(int(v), (int(v)+150)%300)
+	}
+	if st.Snapshot().Fingerprint() == snap.Fingerprint() {
+		t.Fatal("mutations did not move the store")
+	}
+
+	balls, err := e.Balls(bg, pinned, vs, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := e.Balls(bg, h, vs, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for i, v := range vs {
+		if want := old.Ball(int(v), 2); !slices.Equal(balls[i], want) {
+			t.Fatalf("vertex %d: pinned ball %v, want the pinned version's %v", v, balls[i], want)
+		}
+		moved = moved || !slices.Equal(cur[i], balls[i])
+	}
+	if !moved {
+		t.Fatal("current-store balls equal the pinned ones; the mutations tested nothing")
+	}
+
+	want := ldd.ChangLi(old, p)
+	cl, err := e.ClusterOf(bg, pinned, p, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vs {
+		if cl[i] != want.ClusterOf[v] {
+			t.Fatalf("vertex %d: pinned cluster %d, want %d from the pinned version", v, cl[i], want.ClusterOf[v])
+		}
+	}
+	res, err := e.Run(bg, pinned, "changli", algo.ChangLiParams(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot != snap.Fingerprint().String() {
+		t.Fatalf("pinned run stamped %s, want %s", res.Snapshot, snap.Fingerprint())
 	}
 }
 

@@ -18,13 +18,12 @@
 // *WithWorkspace variants directly. See Workspace for the ownership and
 // aliasing rules.
 //
-// A third flavor parallelizes inside one traversal: the Par* family
-// (ParBFSBounded, ParMultiBFS, ParBallFromSet, ParComponents, ParDiameter,
-// ...) expands BFS levels across a worker pool with merges that are
-// bit-identical to the serial traversals at every worker count, dispatching
-// to the serial loop whenever a frontier is too small to be worth fanning
-// out. See parbfs.go for the claim/emit discipline and ParWorkspace for the
-// shared-scratch rules.
+// Each traversal shape has exactly one serial loop. The CSR loops are
+// methods on *Graph; the only traversal over the View interface is
+// ViewBall, the seed-set ball that store snapshots and delta repair run on
+// a mutation overlay. Parallelism lives one level up, in the callers that
+// fan independent traversals out across internal/par (one Workspace per
+// worker) — not inside a single BFS.
 package graph
 
 import (
@@ -240,40 +239,10 @@ func FromEdges(n int, edges [][2]int) *Graph {
 // internal storage and must not be modified.
 type View interface {
 	N() int
-	Degree(v int) int
 	Neighbors(v int) []int32
 }
 
 var _ View = (*Graph)(nil)
-
-// BallOnView is Ball over any View: the vertices of N^k(src) in BFS order
-// (sorted by distance, src first). Out-of-range sources yield nil. Unlike
-// the *WithWorkspace traversals this allocates its scratch per call — it is
-// the read path for overlay-backed snapshots, where the adjacency is an
-// interface, not a CSR.
-func BallOnView(v View, src, k int) []int32 {
-	n := v.N()
-	if src < 0 || src >= n {
-		return nil
-	}
-	visited := make([]bool, n)
-	visited[src] = true
-	out := make([]int32, 1, 16)
-	out[0] = int32(src)
-	head := 0
-	for depth := 0; depth < k && head < len(out); depth++ {
-		levelEnd := len(out)
-		for ; head < levelEnd; head++ {
-			for _, w := range v.Neighbors(int(out[head])) {
-				if !visited[w] {
-					visited[w] = true
-					out = append(out, w)
-				}
-			}
-		}
-	}
-	return out
-}
 
 // Unreachable is the distance value reported for vertices not reached by a
 // bounded or disconnected BFS.

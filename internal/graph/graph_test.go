@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -487,27 +488,53 @@ func gnpView(n int, deg float64, seed uint64) *Graph {
 	return b.Build()
 }
 
-func TestBallOnViewMatchesBall(t *testing.T) {
+// TestViewBallMatchesBall pins the View ball to the CSR ball traversals:
+// same vertices in the same BFS order, for single seeds, seed sets with
+// duplicates, and radius 0, with one workspace reused throughout.
+func TestViewBallMatchesBall(t *testing.T) {
+	ws := NewWorkspace(0)
 	for _, g := range []*Graph{path(30), cycle(25), gnpView(200, 6, 3)} {
-		for _, src := range []int{0, g.N() / 2, g.N() - 1} {
+		n := int32(g.N())
+		seedSets := [][]int32{
+			{0}, {n / 2}, {n - 1},
+			{n - 1, n / 2, n - 1, 0, n / 2},
+			{3, 3},
+		}
+		for _, seeds := range seedSets {
 			for k := 0; k <= 4; k++ {
-				got := BallOnView(g, src, k)
-				want := g.Ball(src, k)
-				if len(got) != len(want) {
-					t.Fatalf("%v src=%d k=%d: size %d != %d", g, src, k, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%v src=%d k=%d: order differs at %d (%d != %d)", g, src, k, i, got[i], want[i])
+				want := append([]int32(nil), g.BallFromSetWithWorkspace(ws, seeds, k, nil)...)
+				if len(seeds) == 1 {
+					if single := g.Ball(int(seeds[0]), k); !slices.Equal(single, want) {
+						t.Fatalf("%v seed=%d k=%d: Ball %v != BallFromSet %v", g, seeds[0], k, single, want)
 					}
+				}
+				if got := ViewBall(ws, g, seeds, k); !slices.Equal(got, want) {
+					t.Fatalf("%v seeds=%v k=%d: ViewBall %v, want %v", g, seeds, k, got, want)
 				}
 			}
 		}
 	}
-	if got := BallOnView(path(5), -1, 2); got != nil {
-		t.Fatalf("out-of-range source returned %v", got)
+	if got := ViewBall(ws, path(5), []int32{0, 0}, 0); !slices.Equal(got, []int32{0}) {
+		t.Fatalf("radius 0 with duplicate seeds: got %v, want [0]", got)
 	}
-	if got := BallOnView(path(5), 5, 2); got != nil {
-		t.Fatalf("out-of-range source returned %v", got)
+	for _, seeds := range [][]int32{{-1}, {5}, nil} {
+		if got := ViewBall(ws, path(5), seeds, 2); got != nil {
+			t.Fatalf("out-of-range seeds %v returned %v", seeds, got)
+		}
+	}
+	if got := ViewBall(ws, path(5), []int32{-1, 7, 4}, 1); !slices.Equal(got, []int32{4, 3}) {
+		t.Fatalf("mixed seeds: got %v, want [4 3]", got)
+	}
+}
+
+// TestViewBallZeroAllocWarm pins that the View ball reuses the workspace:
+// a warm call allocates nothing.
+func TestViewBallZeroAllocWarm(t *testing.T) {
+	g := gnpView(300, 6, 5)
+	ws := NewWorkspace(0)
+	seeds := []int32{7, 120, 7}
+	ViewBall(ws, g, seeds, 3)
+	if allocs := testing.AllocsPerRun(50, func() { ViewBall(ws, g, seeds, 3) }); allocs != 0 {
+		t.Fatalf("warm ViewBall: %v allocs/op, want 0", allocs)
 	}
 }

@@ -209,42 +209,19 @@ func (g *Graph) BallAliveWithWorkspace(ws *Workspace, v, k int, alive []bool) []
 	if v < 0 || v >= g.N() {
 		return nil
 	}
-	if alive != nil && !alive[v] {
-		return nil
-	}
-	ws.Reserve(g.N())
-	seen, epoch := ws.beginStamp()
-	out := append(ws.out[:0], int32(v))
-	seen[v] = epoch
-	start, end := 0, 1
-	for d := 0; d < k && start < end; d++ {
-		for i := start; i < end; i++ {
-			for _, w := range g.Neighbors(int(out[i])) {
-				if seen[w] == epoch || (alive != nil && !alive[w]) {
-					continue
-				}
-				seen[w] = epoch
-				out = append(out, w)
-			}
-		}
-		start, end = end, len(out)
-	}
-	ws.out = out
-	return out
+	seed := [1]int32{int32(v)}
+	return g.ballCore(ws, seed[:], k, alive, false)
 }
 
 // BallLayersWithWorkspace is BallLayers on reusable storage: the layers
 // subslice a single flat buffer and the headers are reused, so a warm call
 // performs zero allocations. The result aliases the workspace.
 func (g *Graph) BallLayersWithWorkspace(ws *Workspace, v, k int, alive []bool) [][]int32 {
-	if v < 0 || v >= g.N() || (alive != nil && !alive[v]) {
+	if v < 0 || v >= g.N() {
 		return nil
 	}
-	ws.Reserve(g.N())
-	seen, epoch := ws.beginStamp()
-	seen[v] = epoch
-	out := append(ws.out[:0], int32(v))
-	return g.ballLayersCore(ws, out, k, alive)
+	seed := [1]int32{int32(v)}
+	return g.BallLayersFromSetWithWorkspace(ws, seed[:], k, alive)
 }
 
 // BallLayersFromSetWithWorkspace generalizes BallLayersWithWorkspace to a
@@ -252,6 +229,26 @@ func (g *Graph) BallLayersWithWorkspace(ws *Workspace, v, k int, alive []bool) [
 // (in input order), layer j the alive vertices at distance exactly j from
 // it. Returns nil when no seed is alive. The result aliases the workspace.
 func (g *Graph) BallLayersFromSetWithWorkspace(ws *Workspace, seeds []int32, radius int, alive []bool) [][]int32 {
+	if g.ballCore(ws, seeds, radius, alive, true) == nil {
+		return nil
+	}
+	return ws.layers
+}
+
+// BallFromSetWithWorkspace returns the flattened layers of
+// BallLayersFromSetWithWorkspace; the result aliases the workspace.
+func (g *Graph) BallFromSetWithWorkspace(ws *Workspace, seeds []int32, radius int, alive []bool) []int32 {
+	return g.ballCore(ws, seeds, radius, alive, false)
+}
+
+// ballCore is the one CSR ball loop: layer 0 is the deduplicated alive
+// subset of seeds, and each further level appends the newly reached alive
+// vertices to the flat buffer ws.out, which doubles as the BFS queue. It
+// returns the flat ball (nil when no seed is alive). With keepLayers it
+// also fills ws.layers with one subslice of the buffer per layer; the
+// flat-ball callers skip those headers, which on long thin balls cost as
+// much as the expansion itself.
+func (g *Graph) ballCore(ws *Workspace, seeds []int32, radius int, alive []bool, keepLayers bool) []int32 {
 	ws.Reserve(g.N())
 	seen, epoch := ws.beginStamp()
 	out := ws.out[:0]
@@ -266,30 +263,10 @@ func (g *Graph) BallLayersFromSetWithWorkspace(ws *Workspace, seeds []int32, rad
 		ws.out = out
 		return nil
 	}
-	return g.ballLayersCore(ws, out, radius, alive)
-}
-
-// BallFromSetWithWorkspace returns the flattened layers of
-// BallLayersFromSetWithWorkspace; the result aliases the workspace.
-func (g *Graph) BallFromSetWithWorkspace(ws *Workspace, seeds []int32, radius int, alive []bool) []int32 {
-	layers := g.BallLayersFromSetWithWorkspace(ws, seeds, radius, alive)
-	if layers == nil {
-		return nil
+	layers := ws.layers[:0]
+	if keepLayers {
+		layers = append(layers, out[0:len(out):len(out)])
 	}
-	// The layers subslice ws.out contiguously: the flat ball is the prefix.
-	total := 0
-	for _, l := range layers {
-		total += len(l)
-	}
-	return ws.out[:total]
-}
-
-// ballLayersCore expands the current epoch's frontier (out, already marked
-// as layer 0) level by level, filling ws.layers with subslices of the flat
-// buffer.
-func (g *Graph) ballLayersCore(ws *Workspace, out []int32, radius int, alive []bool) [][]int32 {
-	seen, epoch := ws.stamp, ws.epoch
-	layers := append(ws.layers[:0], out[0:len(out):len(out)])
 	start, end := 0, len(out)
 	for d := 0; d < radius && start < end; d++ {
 		for i := start; i < end; i++ {
@@ -301,15 +278,52 @@ func (g *Graph) ballLayersCore(ws *Workspace, out []int32, radius int, alive []b
 				out = append(out, w)
 			}
 		}
-		if len(out) == end {
-			break
+		if keepLayers && len(out) > end {
+			layers = append(layers, out[end:len(out):len(out)])
 		}
-		layers = append(layers, out[end:len(out):len(out)])
 		start, end = end, len(out)
 	}
 	ws.out = out
 	ws.layers = layers
-	return layers
+	return out
+}
+
+// ViewBall returns the vertices within distance radius of the seed set in
+// v, in BFS order: the deduplicated in-range seeds (input order) first,
+// then each layer in discovery order — the order BallFromSetWithWorkspace
+// gives on a CSR graph. Returns nil when no seed is in range. It is the one
+// traversal over the View interface, for adjacency that is not a CSR (store
+// snapshots serve it through a mutation overlay); the result aliases ws
+// and is valid until its next use.
+func ViewBall(ws *Workspace, v View, seeds []int32, radius int) []int32 {
+	n := v.N()
+	ws.Reserve(n)
+	seen, epoch := ws.beginStamp()
+	out := ws.out[:0]
+	for _, s := range seeds {
+		if s < 0 || int(s) >= n || seen[s] == epoch {
+			continue
+		}
+		seen[s] = epoch
+		out = append(out, s)
+	}
+	start, end := 0, len(out)
+	for d := 0; d < radius && start < end; d++ {
+		for i := start; i < end; i++ {
+			for _, w := range v.Neighbors(int(out[i])) {
+				if seen[w] != epoch {
+					seen[w] = epoch
+					out = append(out, w)
+				}
+			}
+		}
+		start, end = end, len(out)
+	}
+	ws.out = out
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 // --- Components -----------------------------------------------------------

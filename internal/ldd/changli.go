@@ -114,9 +114,9 @@ func ballSizes(ctx context.Context, g *graph.Graph, alive []bool, radius, worker
 	n := g.N()
 	sizes := make([]int, n)
 	workers = par.Workers(workers)
-	pw := graph.AcquireParWorkspace()
-	defer graph.ReleaseParWorkspace(pw)
-	comp, count := graph.ParComponents(pw, g, alive, workers)
+	cws := graph.AcquireWorkspace()
+	defer graph.ReleaseWorkspace(cws)
+	comp, count := g.ComponentsAliveWithWorkspace(cws, alive)
 	compSize := make([]int, count)
 	for v := 0; v < n; v++ {
 		if comp[v] >= 0 {
@@ -241,21 +241,7 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 			}
 		}
 		outcomes := make([]*CarveOutcome, len(centres))
-		if workers > 1 && len(centres) < workers {
-			// Too few centres to fill the pool from the outside: run them
-			// in order and parallelize each carve's frontier expansion
-			// instead. Either path yields bit-identical outcomes.
-			pw := graph.AcquireParWorkspace()
-			for j := range centres {
-				if err := ctx.Err(); err != nil {
-					graph.ReleaseParWorkspace(pw)
-					endCarve()
-					return nil, err
-				}
-				outcomes[j] = GrowCarvePar(g, int(centres[j]), interval[0], interval[1], alive, pw, workers)
-			}
-			graph.ReleaseParWorkspace(pw)
-		} else if err := par.ForEachCtx(ctx, workers, len(centres), func(w, j int) {
+		if err := par.ForEachCtx(ctx, workers, len(centres), func(w, j int) {
 			outcomes[j] = GrowCarveWS(g, int(centres[j]), interval[0], interval[1], alive, wss[w])
 		}); err != nil {
 			endCarve()
@@ -295,14 +281,12 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 	for v := range clusterOf {
 		clusterOf[v] = Unclustered
 	}
-	pw := graph.AcquireParWorkspace()
-	comp, count := graph.ParComponents(pw, g, removed, workers)
+	comp, count := g.ComponentsAliveWithWorkspace(wss[0], removed)
 	for v := 0; v < n; v++ {
 		if removed[v] {
 			clusterOf[v] = comp[v]
 		}
 	}
-	graph.ReleaseParWorkspace(pw)
 	for v := 0; v < n; v++ {
 		if alive[v] && en.ClusterOf[v] >= 0 {
 			clusterOf[v] = int32(count) + en.ClusterOf[v]

@@ -45,22 +45,6 @@ func GrowCarveWS(g *graph.Graph, v int, a, b int, alive []bool, ws *graph.Worksp
 	return carveOutcomeFromLayers(layers, a, b)
 }
 
-// GrowCarvePar is GrowCarveWS with the layer gathering running as a
-// parallel frontier expansion on pw — the right shape when one iteration
-// samples fewer centres than there are workers, so per-centre fan-out
-// cannot use the machine. Outcomes are bit-identical to GrowCarveWS for
-// every worker count.
-func GrowCarvePar(g *graph.Graph, v int, a, b int, alive []bool, pw *graph.ParWorkspace, workers int) *CarveOutcome {
-	if a < 1 {
-		a = 1
-	}
-	if b < a {
-		b = a
-	}
-	layers := graph.ParBallLayers(pw, g, v, b, alive, workers)
-	return carveOutcomeFromLayers(layers, a, b)
-}
-
 // carveOutcomeFromLayers picks the sparsest cut layer j* in [a, b] and
 // materializes the outcome; the layers may alias a workspace, the outcome
 // never does.

@@ -54,10 +54,6 @@ type RepairDeltaParams struct {
 	// MaxUnclusteredFrac caps the repaired result's unclustered fraction —
 	// the quality invariant a fresh run guarantees. <= 0 means Epsilon.
 	MaxUnclusteredFrac float64
-	// Workers bounds the worker pool for the certificate BFS sweeps (the
-	// levels of each certificate ball expand in parallel, bit-identically
-	// for every worker count). <= 0 means GOMAXPROCS.
-	Workers int
 }
 
 // RepairReport describes what a delta repair did, for observability.
@@ -206,18 +202,18 @@ func RepairDelta(ctx context.Context, gv graph.View, old *Decomposition, delta E
 	rep := &RepairReport{}
 	clusters := old.Clusters()
 	if len(certCand) > 0 && p.WeakBound > 0 {
-		pw := graph.AcquireParWorkspace()
+		ws := graph.AcquireWorkspace()
 		for _, cid := range certCand {
 			if affected[cid] {
 				continue
 			}
-			if certifyWeakDiameter(gv, pw, clusters[cid], old.ClusterOf, cid, p.WeakBound, p.Workers) {
+			if certifyWeakDiameter(gv, ws, clusters[cid], old.ClusterOf, cid, p.WeakBound) {
 				rep.Certified++
 				continue
 			}
 			affected[cid] = true
 		}
-		graph.ReleaseParWorkspace(pw)
+		graph.ReleaseWorkspace(ws)
 	} else {
 		for _, cid := range certCand {
 			affected[cid] = true
@@ -309,16 +305,13 @@ func RepairDelta(ctx context.Context, gv graph.View, old *Decomposition, delta E
 // (distances in the full graph — weak diameter allows shortcuts through
 // other clusters), the triangle inequality bounds all pairwise distances
 // by bound. One-sided: a false return means "unproven", not "violated".
-// Runs on the View so overlay-backed snapshots certify without a CSR; the
-// BFS levels expand across the worker pool (the single traversal is the
-// whole cost of a certificate-only repair).
-func certifyWeakDiameter(gv graph.View, pw *graph.ParWorkspace, members []int32, clusterOf []int32, cid int32, bound, workers int) bool {
+// Runs on the View so overlay-backed snapshots certify without a CSR.
+func certifyWeakDiameter(gv graph.View, ws *graph.Workspace, members []int32, clusterOf []int32, cid int32, bound int) bool {
 	if len(members) <= 1 {
 		return true
 	}
 	seen := 0
-	seed := [1]int32{members[0]}
-	for _, v := range graph.ParBallFromSet(pw, gv, seed[:], bound/2, nil, workers) {
+	for _, v := range graph.ViewBall(ws, gv, members[:1], bound/2) {
 		if clusterOf[v] == cid {
 			seen++
 		}
@@ -350,10 +343,6 @@ type RepairCoverParams struct {
 	// more added cross-cover edges fall back to a full recompute. <= 0
 	// means 16.
 	MaxPatches int
-	// Workers bounds the worker pool for the certificate and patch-ball
-	// BFS sweeps; <= 0 means GOMAXPROCS. Results are bit-identical for
-	// every worker count.
-	Workers int
 }
 
 // RepairCoverDelta repairs a sparse cover computed on an ancestor graph
@@ -399,8 +388,8 @@ func RepairCoverDelta(ctx context.Context, gv graph.View, old *Cover, delta Edge
 	}
 
 	rep := &RepairReport{}
-	pw := graph.AcquireParWorkspace()
-	defer graph.ReleaseParWorkspace(pw)
+	ws := graph.AcquireWorkspace()
+	defer graph.ReleaseWorkspace(ws)
 	inBall := make([]bool, n)
 	certified := make(map[int32]bool)
 	for _, e := range delta.Removed {
@@ -408,7 +397,7 @@ func RepairCoverDelta(ctx context.Context, gv graph.View, old *Cover, delta Edge
 			if certified[cid] {
 				continue
 			}
-			if !certifyCoverCluster(gv, pw, old.Clusters[cid], p.WeakBound, inBall, p.Workers) {
+			if !certifyCoverCluster(gv, ws, old.Clusters[cid], p.WeakBound, inBall) {
 				return nil, nil, fmt.Errorf("%w: cluster %d failed the weak-diameter certificate", ErrRepairFallback, cid)
 			}
 			certified[cid] = true
@@ -442,10 +431,9 @@ func RepairCoverDelta(ctx context.Context, gv graph.View, old *Cover, delta Edge
 		if len(commonClusters(out.MemberOf[e[0]], out.MemberOf[e[1]], nil)) > 0 {
 			continue
 		}
-		// ParBallFromSet aliases the workspace: copy before sorting (the
-		// next traversal would clobber it).
-		seed := [1]int32{e[0]}
-		ball := append([]int32(nil), graph.ParBallFromSet(pw, gv, seed[:], p.WeakBound/2, nil, p.Workers)...)
+		// ViewBall aliases the workspace: copy before sorting (the next
+		// traversal would clobber it).
+		ball := append([]int32(nil), graph.ViewBall(ws, gv, e[:1], p.WeakBound/2)...)
 		slices.Sort(ball)
 		id := int32(len(out.Clusters))
 		out.Clusters = append(out.Clusters, ball)
@@ -475,12 +463,11 @@ func commonClusters(a, b []int32, dst []int32) []int32 {
 // certifyCoverCluster is certifyWeakDiameter for overlapping cover
 // clusters: membership is marked in the scratch slice (cleared before
 // return) instead of read off a partition labeling.
-func certifyCoverCluster(gv graph.View, pw *graph.ParWorkspace, members []int32, bound int, scratch []bool, workers int) bool {
+func certifyCoverCluster(gv graph.View, ws *graph.Workspace, members []int32, bound int, scratch []bool) bool {
 	if len(members) <= 1 {
 		return true
 	}
-	seed := [1]int32{members[0]}
-	ball := graph.ParBallFromSet(pw, gv, seed[:], bound/2, nil, workers)
+	ball := graph.ViewBall(ws, gv, members[:1], bound/2)
 	for _, v := range ball {
 		scratch[v] = true
 	}

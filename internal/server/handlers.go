@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/algo"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/graphio"
@@ -302,7 +303,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestCtx(r, s.opts.DefaultTimeout)
 	defer cancel()
+	// Resolve the store once: the answers are computed on the snapshot the
+	// response names, even if a write lands mid-query.
 	snap := sg.st.Snapshot()
+	src := engine.Pin(snap)
 	resp := QueryResponse{Snapshot: snap.Fingerprint().String()}
 	switch qr.Op {
 	case "cluster":
@@ -316,7 +320,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if p.Seed == 0 {
 			p.Seed = 1
 		}
-		clusters, err := s.e.ClusterOf(ctx, sg.h, p, qr.Vertices)
+		clusters, err := s.e.ClusterOf(ctx, src, p, qr.Vertices)
 		if err != nil {
 			writeError(w, runStatus(err), err.Error())
 			return
@@ -331,7 +335,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "negative radius")
 			return
 		}
-		balls, err := s.e.Balls(ctx, sg.h, qr.Vertices, radius, 0)
+		balls, err := s.e.Balls(ctx, src, qr.Vertices, radius, 0)
 		if err != nil {
 			writeError(w, runStatus(err), err.Error())
 			return
@@ -411,6 +415,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// Results stream out while later request lines may still be arriving.
+	// Without full duplex, the first flush makes net/http drain and close
+	// the unread request body, and the scanner below fails mid-batch. The
+	// error only means the protocol cannot do it (HTTP/2 always can).
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

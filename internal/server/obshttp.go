@@ -91,6 +91,10 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// Unwrap lets http.ResponseController reach the connection's writer (the
+// batch endpoint enables full duplex through it).
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // status returns the recorded code, defaulting to 200 for handlers that
 // never wrote an explicit header.
 func (w *statusWriter) status() int {

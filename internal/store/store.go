@@ -41,6 +41,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -520,9 +521,17 @@ func (s *Snapshot) HasEdge(u, v int) bool {
 }
 
 // Ball returns N^k(v) at this version in BFS order, straight off the
-// overlay (no materialization).
+// overlay (no materialization). The traversal runs on a pooled workspace;
+// the returned slice is a caller-owned copy. Out-of-range v yields nil.
 func (s *Snapshot) Ball(v, k int) []int32 {
-	return graph.BallOnView(s, v, k)
+	if v < 0 || v >= s.n {
+		return nil
+	}
+	ws := graph.AcquireWorkspace()
+	seed := [1]int32{int32(v)}
+	ball := slices.Clone(graph.ViewBall(ws, s, seed[:], k))
+	graph.ReleaseWorkspace(ws)
+	return ball
 }
 
 // Ancestor is an earlier version of a snapshot's store, reachable by

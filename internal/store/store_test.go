@@ -258,6 +258,24 @@ func TestSnapshotBallMatchesGraphBall(t *testing.T) {
 	}
 }
 
+// TestSnapshotBallAllocatesOnlyResult pins the served ball path: a warm
+// Snapshot.Ball runs on a pooled traversal workspace, so the one
+// allocation is the caller-owned copy of the ball — no per-call visited
+// array sized to the graph.
+func TestSnapshotBallAllocatesOnlyResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	st := New(gen.GNP(2000, 8.0/2000, xrand.New(3)))
+	for i := 0; i < 40; i++ {
+		st.AddEdge(i, 1999-i)
+	}
+	snap := st.Snapshot()
+	if allocs := testing.AllocsPerRun(100, func() { snap.Ball(17, 2) }); allocs != 1 {
+		t.Fatalf("warm Snapshot.Ball: %v allocs/op, want 1 (the returned copy)", allocs)
+	}
+}
+
 // TestConcurrentMutateAndRead is the store's race smoke: writers churn
 // edges while readers take snapshots and traverse them. Run under -race in
 // CI. Correctness of the final state is enforced by Compact's validating
