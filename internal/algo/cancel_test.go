@@ -12,8 +12,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// cancelTestGraph is large enough that a paper-constants ChangLi run takes
-// well over a second, so a millisecond-scale cancel lands mid-computation.
+// cancelTestGraph is large enough that a paper-constants ChangLi run spans
+// many cancellation checkpoints (tens of milliseconds on a two-core VM).
 func cancelTestGraph() *graph.Graph {
 	return gen.RandomRegular(20000, 4, xrand.New(7))
 }
@@ -91,19 +91,25 @@ func TestCancelMidDecompositionReturnsPromptly(t *testing.T) {
 
 // TestDeadlineBoundedRun proves the deadline path: a request with a tight
 // deadline returns context.DeadlineExceeded instead of holding the caller
-// for the full decomposition.
+// for the full decomposition. The deadline is a tenth of a timed full run
+// on the same graph, so it lands mid-computation on any machine instead of
+// letting a fast run finish first.
 func TestDeadlineBoundedRun(t *testing.T) {
 	g := cancelTestGraph()
-	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-	defer cancel()
+	p := Params{"eps": "0.1", "seed": "3"}
 	start := time.Now()
-	_, err := Run(ctx, "changli", g, Params{"eps": "0.1", "seed": "3"})
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Skip("machine fast enough to finish inside the deadline")
+	if _, err := Run(context.Background(), "changli", g, p); err != nil {
+		t.Fatalf("uncancelled run failed: %v", err)
 	}
+	full := time.Since(start)
+
+	ctx, cancel := context.WithTimeout(context.Background(), full/10)
+	defer cancel()
+	start = time.Now()
+	_, err := Run(ctx, "changli", g, p)
+	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("err = %v after %v (deadline %v, full run %v), want context.DeadlineExceeded", err, elapsed, full/10, full)
 	}
 	if elapsed > 10*time.Second {
 		t.Fatalf("deadline-bounded run held for %v", elapsed)
