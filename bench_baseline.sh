@@ -3,8 +3,10 @@
 # revision so the perf trajectory is tracked PR over PR.
 #
 # Runs every experiment benchmark (BenchmarkE*), algorithm
-# micro-benchmark (BenchmarkAlgo*), and serving-layer benchmark
-# (BenchmarkEngine*, in ./internal/engine) with -benchmem and writes the
+# micro-benchmark (BenchmarkAlgo*), wire-layer benchmark (BenchmarkWire*:
+# a cached run answer through the HTTP handler and the client's decode,
+# reporting resp_bytes) and serving-layer benchmark (BenchmarkEngine*, in
+# ./internal/engine) with -benchmem and writes the
 # parsed results to BENCH_<rev>.json (one object per benchmark: name,
 # iterations, ns/op, B/op, allocs/op, plus any custom ReportMetric
 # columns — the engine benchmarks report sampled hit-latency tails as
@@ -35,7 +37,7 @@ if [ -n "$(git status --porcelain -uno 2>/dev/null)" ]; then
 	REV="${REV}-dirty"
 fi
 COUNT="${COUNT:-1}"
-BENCH="${BENCH:-BenchmarkE|BenchmarkAlgo}"
+BENCH="${BENCH:-BenchmarkE|BenchmarkAlgo|BenchmarkWire}"
 OUT="${OUT:-BENCH_${REV}.json}"
 CPU="${CPU:-}"
 CPUFLAG=()

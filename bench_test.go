@@ -10,14 +10,22 @@ package repro
 // algorithms on their own.
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/expt"
 	"repro/internal/gkm"
 	"repro/internal/graph/gen"
 	"repro/internal/ldd"
 	"repro/internal/packing"
 	"repro/internal/problems"
+	"repro/internal/server"
 	"repro/internal/xrand"
 )
 
@@ -246,3 +254,63 @@ func BenchmarkExtensionWeightedLDD(b *testing.B) {
 func BenchmarkE13SpannerTail(b *testing.B) { benchExperiment(b, "E13") }
 
 func BenchmarkE14RegistrySweep(b *testing.B) { benchExperiment(b, "E14") }
+
+// benchWriter is a reusable http.ResponseWriter, so the wire benchmark
+// measures the handler's allocations rather than a fresh recorder's.
+type benchWriter struct {
+	h    http.Header
+	code int
+	body bytes.Buffer
+}
+
+func (w *benchWriter) Header() http.Header         { return w.h }
+func (w *benchWriter) WriteHeader(code int)        { w.code = code }
+func (w *benchWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+// The wire benchmark's server and graph outlive one call: the testing
+// package calls a benchmark several times while it sizes b.N, and the
+// decomposition behind the hit takes seconds to compute.
+var (
+	wireOnce sync.Once
+	wireSrv  *server.Server
+	wireID   string
+)
+
+// BenchmarkWireRunHit is one cached run answer across the wire layer,
+// without a socket: POST /run through Server.ServeHTTP for a warm changli
+// decomposition of GNP n=50k (average degree 8), then the client's decode
+// of the body into server.Result. The engine hit is a few microseconds of
+// this; the rest is encoding and decoding the n-entry cluster map.
+func BenchmarkWireRunHit(b *testing.B) {
+	const n = 50_000
+	wireOnce.Do(func() {
+		wireSrv = server.New(engine.New(engine.Options{}), server.Options{})
+		wireID, _ = wireSrv.AddGraph(gen.GNP(n, 8.0/n, xrand.New(1)))
+	})
+	srv, id := wireSrv, wireID
+	const body = `{"algo":"changli","q":"eps=0.3 scale=0.05 seed=1"}`
+	w := &benchWriter{h: http.Header{}}
+	hit := func() {
+		w.body.Reset()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/graphs/"+id+"/run", strings.NewReader(body)))
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.code, w.body.Bytes())
+		}
+	}
+	hit() // the first call computes and caches the decomposition
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
+		var res server.Result
+		if err := json.Unmarshal(w.body.Bytes(), &res); err != nil {
+			b.Fatal(err)
+		}
+		if len(res.ClusterOf) != n {
+			b.Fatalf("decoded %d cluster ids, want %d", len(res.ClusterOf), n)
+		}
+	}
+	b.StopTimer()
+	hit()
+	b.ReportMetric(float64(w.body.Len()), "resp_bytes")
+}

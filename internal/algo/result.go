@@ -58,7 +58,9 @@ type Result struct {
 	// Metrics carries algorithm-specific quality numbers (unclustered
 	// fraction, cover multiplicity, cut edges, fixed weight, ...).
 	Metrics map[string]float64
-	// Elapsed is the wall-clock compute time (not incurred on cache hits).
+	// Elapsed is the wall-clock compute time of the run that produced the
+	// result. The engine's cache hands every hit the same envelope, so a
+	// hit reports the compute time of the original miss.
 	Elapsed time.Duration
 
 	// Raw is the underlying typed result (*ldd.Decomposition, *ldd.Cover,

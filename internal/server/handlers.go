@@ -10,7 +10,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/algo"
@@ -112,10 +114,10 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	out := make([]AlgorithmInfo, 0, len(specs))
 	for _, sp := range specs {
 		info := AlgorithmInfo{
-			Name:     sp.Name,
-			Aliases:  sp.Aliases,
-			Summary:  sp.Summary,
-			Kind:     sp.Caps.Kind.String(),
+			Name:       sp.Name,
+			Aliases:    sp.Aliases,
+			Summary:    sp.Summary,
+			Kind:       sp.Caps.Kind.String(),
 			Seeded:     sp.Caps.Seeded,
 			Weighted:   sp.Caps.Weighted,
 			Workers:    sp.Caps.Workers,
@@ -284,7 +286,31 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, runStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, WireResult(res))
+	bp := getBody()
+	*bp = appendResult((*bp)[:0], WireResult(res))
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(*bp)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*bp)
+	putBody(bp)
+}
+
+// bodyPool recycles the buffers run and batch answers are encoded into: a
+// decomposition answer is O(n) bytes, so a fresh buffer per hit would be
+// the largest allocation on the cached path.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody keeps one outsized answer from pinning its buffer in the
+// pool.
+const maxPooledBody = 4 << 20
+
+func getBody() *[]byte { return bodyPool.Get().(*[]byte) }
+
+func putBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -423,9 +449,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	bp := getBody()
+	defer putBody(bp)
 	emit := func(line BatchLine) {
-		_ = enc.Encode(line)
+		*bp = appendBatchLine((*bp)[:0], &line)
+		_, _ = w.Write(*bp)
 		if flusher != nil {
 			flusher.Flush()
 		}

@@ -13,6 +13,15 @@ import (
 	"repro/internal/store"
 )
 
+// Int32s is a []int32 on the wire. It decodes without reflection (see
+// codec.go) and encodes through encoding/json's reflection: a MarshalJSON
+// would have its output re-scanned, which is slower. Handlers that send
+// large arrays write them with appendResult instead.
+type Int32s []int32
+
+// Int32Lists is a [][]int32 on the wire, decoded like Int32s.
+type Int32Lists [][]int32
+
 // Result is the JSON wire form of algo.Result: every deterministic field of
 // the envelope, so an HTTP response can be compared bit-for-bit against a
 // direct engine call (the end-to-end equivalence suite pins this, with only
@@ -24,12 +33,12 @@ type Result struct {
 	Kind      string `json:"kind"`
 	Snapshot  string `json:"snapshot,omitempty"`
 
-	ClusterOf   []int32   `json:"cluster_of,omitempty"`
-	ColorOf     []int32   `json:"color_of,omitempty"`
-	Clusters    [][]int32 `json:"clusters,omitempty"`
-	NumClusters int       `json:"num_clusters"`
-	NumColors   int       `json:"num_colors,omitempty"`
-	Unclustered int       `json:"unclustered,omitempty"`
+	ClusterOf   Int32s     `json:"cluster_of,omitempty"`
+	ColorOf     Int32s     `json:"color_of,omitempty"`
+	Clusters    Int32Lists `json:"clusters,omitempty"`
+	NumClusters int        `json:"num_clusters"`
+	NumColors   int        `json:"num_colors,omitempty"`
+	Unclustered int        `json:"unclustered,omitempty"`
 
 	Solution []bool `json:"solution,omitempty"`
 	Value    int64  `json:"value,omitempty"`
@@ -39,8 +48,10 @@ type Result struct {
 	Rounds  int                `json:"rounds"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 
-	// ElapsedNS is the wall-clock compute time in nanoseconds (zero on
-	// cache hits; excluded from equivalence comparisons).
+	// ElapsedNS is the wall-clock compute time in nanoseconds of the run
+	// that produced the result. A cache hit returns the shared envelope, so
+	// it replays the compute time of the miss. Excluded from equivalence
+	// comparisons.
 	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
 }
 
@@ -202,19 +213,19 @@ type QueryRequest struct {
 // QueryResponse carries the batch query results (one entry per requested
 // vertex).
 type QueryResponse struct {
-	Clusters []int32   `json:"clusters,omitempty"`
-	Balls    [][]int32 `json:"balls,omitempty"`
+	Clusters Int32s     `json:"clusters,omitempty"`
+	Balls    Int32Lists `json:"balls,omitempty"`
 	// Snapshot is the fingerprint of the store version the query resolved.
 	Snapshot string `json:"snapshot"`
 }
 
 // GraphInfo is the wire description of one served graph.
 type GraphInfo struct {
-	ID          string `json:"id"`
-	N           int    `json:"n"`
-	M           int    `json:"m"`
-	Fingerprint string `json:"fingerprint"`
-	Epoch       uint64 `json:"epoch"`
+	ID            string `json:"id"`
+	N             int    `json:"n"`
+	M             int    `json:"m"`
+	Fingerprint   string `json:"fingerprint"`
+	Epoch         uint64 `json:"epoch"`
 	PendingDeltas int    `json:"pending_deltas"`
 	Patched       int    `json:"patched_vertices"`
 	Adds          uint64 `json:"adds"`
@@ -267,10 +278,10 @@ type BatchLine struct {
 
 // AlgorithmInfo describes one registry entry in the catalog endpoint.
 type AlgorithmInfo struct {
-	Name     string           `json:"name"`
-	Aliases  []string         `json:"aliases,omitempty"`
-	Summary  string           `json:"summary"`
-	Kind     string           `json:"kind"`
+	Name       string           `json:"name"`
+	Aliases    []string         `json:"aliases,omitempty"`
+	Summary    string           `json:"summary"`
+	Kind       string           `json:"kind"`
 	Seeded     bool             `json:"seeded,omitempty"`
 	Weighted   bool             `json:"weighted,omitempty"`
 	Workers    bool             `json:"workers,omitempty"`
