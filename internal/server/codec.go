@@ -189,12 +189,7 @@ func (p *intParser) int32() (int32, error) {
 	}
 	frac := i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E')
 	if frac || n < math.MinInt32 || n > math.MaxInt32 {
-		start := p.i
-		for i < len(b) && bytes.IndexByte([]byte("0123456789.eE+-"), b[i]) >= 0 {
-			i++
-		}
-		p.i = i
-		return 0, fmt.Errorf("json: cannot unmarshal number %s into Go value of type int32", b[start:i])
+		return 0, fmt.Errorf("json: cannot unmarshal the number at offset %d into Go value of type int32", p.i)
 	}
 	p.i = i
 	return int32(n), nil
