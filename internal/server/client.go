@@ -10,7 +10,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -198,18 +197,6 @@ func decodeResponse(resp *http.Response, out any) error {
 	if out == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
-	}
-	if n := resp.ContentLength; n > 0 && n <= maxPooledBody {
-		// The server sizes its run answers: read one into a pooled buffer
-		// of that size instead of growing a decoder's buffer step by step.
-		// Decoding copies everything out of the buffer, so it can go back.
-		bp := getBody()
-		defer putBody(bp)
-		*bp = slices.Grow((*bp)[:0], int(n))[:n]
-		if _, err := io.ReadFull(resp.Body, *bp); err != nil {
-			return err
-		}
-		return json.Unmarshal(*bp, out)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -76,6 +76,57 @@ func TestAppendResultEdgeCases(t *testing.T) {
 	}
 }
 
+// fillNonZero sets every field reachable from v to a non-zero value, so no
+// omitempty field is dropped and a field the codec leaves out shows up as
+// a byte difference against json.Encoder.
+func fillNonZero(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			fillNonZero(t, v.Field(i))
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillNonZero(t, v.Elem())
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		fillNonZero(t, v.Index(0))
+		fillNonZero(t, v.Index(1))
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		fillNonZero(t, k)
+		fillNonZero(t, e)
+		v.SetMapIndex(k, e)
+	case reflect.String:
+		v.SetString("s")
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Float64:
+		v.SetFloat(1.5)
+	default:
+		t.Fatalf("fillNonZero: no rule for %s; extend it and the codec", v.Type())
+	}
+}
+
+// TestAppendResultEveryField guards the codec's hard-coded field lists: a
+// field added to Result or BatchLine without a matching line in codec.go
+// fails here, whatever the registry families happen to set.
+func TestAppendResultEveryField(t *testing.T) {
+	var r Result
+	fillNonZero(t, reflect.ValueOf(&r).Elem())
+	checkAppendResult(t, &r)
+	var l BatchLine
+	fillNonZero(t, reflect.ValueOf(&l).Elem())
+	want := encoderBytes(t, &l)
+	if got := appendBatchLine(nil, &l); !bytes.Equal(got, want) {
+		t.Fatalf("appendBatchLine differs from json.Encoder\n got: %q\nwant: %q", got, want)
+	}
+}
+
 // TestAppendResultNoAllocs pins the encoder's cost on a warm buffer: the
 // only allocation is the sorted metric key list.
 func TestAppendResultNoAllocs(t *testing.T) {

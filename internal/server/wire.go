@@ -15,8 +15,9 @@ import (
 
 // Int32s is a []int32 on the wire. It decodes without reflection (see
 // codec.go) and encodes through encoding/json's reflection: a MarshalJSON
-// would have its output re-scanned, which is slower. Handlers that send
-// large arrays write them with appendResult instead.
+// would have its output re-scanned, which is slower. Only run and batch
+// answers are append-encoded (appendResult); query answers still encode
+// through encoding/json.
 type Int32s []int32
 
 // Int32Lists is a [][]int32 on the wire, decoded like Int32s.
