@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/graph/gen"
 	"repro/internal/ldd"
-	"repro/internal/netdecomp"
 	"repro/internal/xrand"
 )
 
@@ -147,47 +146,14 @@ func TestParamsParseAndCanonical(t *testing.T) {
 	}
 }
 
-// TestTypedKeysMatchGeneric pins the engine's fast typed key builders to
-// the generic Spec.CacheKey so the two request paths always share cache
-// slots.
-func TestTypedKeysMatchGeneric(t *testing.T) {
-	lp := ldd.Params{Epsilon: 0.3, NTilde: 500, Seed: 11, Scale: 0.05, SkipPhase2: true, Workers: 3}
-	s, _ := Get("changli")
-	want, err := s.CacheKey(ChangLiParams(lp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ChangLiKey(lp); got != want {
-		t.Fatalf("ChangLiKey = %q, generic = %q", got, want)
-	}
-
-	ep := ldd.ENParams{Lambda: 0.5, NTilde: 200, Seed: 7}
-	s, _ = Get("sparsecover")
-	want, err = s.CacheKey(SparseCoverParams(ep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := SparseCoverKey(ep); got != want {
-		t.Fatalf("SparseCoverKey = %q, generic = %q", got, want)
-	}
-
-	np := netdecomp.Params{Lambda: 0.25, Seed: 9}
-	s, _ = Get("netdecomp")
-	want, err = s.CacheKey(NetDecompParams(np))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := NetDecompKey(np); got != want {
-		t.Fatalf("NetDecompKey = %q, generic = %q", got, want)
-	}
-}
-
-// TestTypedRunnersMatchDirect pins the typed bridge runners to the direct
-// package entry points: same seed, same output.
+// TestTypedRunnersMatchDirect pins the changli runner, fed typed params
+// through ChangLiParams, to the direct package entry point: same seed,
+// same output.
 func TestTypedRunnersMatchDirect(t *testing.T) {
 	g := gen.RandomRegular(200, 4, xrand.New(3))
 	lp := ldd.Params{Epsilon: 0.3, Seed: 5, Scale: 0.05}
-	res, err := RunChangLi(context.Background(), g, lp)
+	s, _ := Get("changli")
+	res, err := s.RunSpec(context.Background(), g, ChangLiParams(lp))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package algo
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/covering"
 	"repro/internal/gkm"
@@ -26,6 +27,19 @@ func init() {
 }
 
 // --- Decomposition families -----------------------------------------------
+
+// ChangLiParams converts an ldd.Params to the bag of the changli family
+// (registered first below), for callers holding typed parameters.
+func ChangLiParams(p ldd.Params) Params {
+	return Params{
+		"eps":     strconv.FormatFloat(p.Epsilon, 'g', -1, 64),
+		"ntilde":  strconv.Itoa(p.NTilde),
+		"seed":    strconv.FormatUint(p.Seed, 10),
+		"scale":   strconv.FormatFloat(p.Scale, 'g', -1, 64),
+		"skip2":   strconv.FormatBool(p.SkipPhase2),
+		"workers": strconv.Itoa(p.Workers),
+	}
+}
 
 func registerDecompositions() {
 	Register(&Spec{

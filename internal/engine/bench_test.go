@@ -22,24 +22,26 @@ func benchParams() ldd.Params {
 	return ldd.Params{Epsilon: 0.3, Seed: 11, Scale: 0.05}
 }
 
-// BenchmarkEngineCachedQuery times the cache-hit request path: the
-// decomposition is computed once in warm-up, then every iteration is a
-// fingerprint-keyed lookup. Compare against BenchmarkColdChangLi on the
-// same graph and parameters: the acceptance bar is a >= 10x speedup, and in
-// practice the gap is several orders of magnitude.
+// BenchmarkEngineCachedQuery times the cache-hit request path the server
+// takes: Run("changli") over typed params (ChangLiParams, canonical key,
+// fingerprint-keyed lookup). The decomposition is computed once in
+// warm-up, then every iteration is a hit. Compare against
+// BenchmarkColdChangLi on the same graph and parameters: the acceptance bar
+// is a >= 10x speedup, and in practice the gap is several orders of
+// magnitude.
 func BenchmarkEngineCachedQuery(b *testing.B) {
 	g := benchGraph()
 	e := New(Options{})
 	h := e.Register(g)
 	p := benchParams()
-	if _, err := e.ChangLi(context.Background(), h, p); err != nil {
+	if _, err := changLi(context.Background(), e, h, p); err != nil {
 		b.Fatal(err)
 	}
 	base := e.Stats().Computations
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.ChangLi(context.Background(), h, p); err != nil {
+		if _, err := changLi(context.Background(), e, h, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -104,7 +106,7 @@ func warmSeeds(b *testing.B, e *Engine, h Handle) [benchSeeds]ldd.Params {
 	for s := range ps {
 		ps[s] = benchParams()
 		ps[s].Seed = uint64(s)
-		if _, err := e.ChangLi(context.Background(), h, ps[s]); err != nil {
+		if _, err := changLi(context.Background(), e, h, ps[s]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +114,7 @@ func warmSeeds(b *testing.B, e *Engine, h Handle) [benchSeeds]ldd.Params {
 }
 
 // benchCachedParallel is the contended cache-hit path under b.RunParallel:
-// every goroutine streams hits over a 16-seed key space. shards=1
+// every goroutine streams Run("changli") hits over a 16-seed key space. shards=1
 // reproduces the pre-shard single-mutex engine, so
 // BenchmarkEngineCachedQueryParallel vs ...SingleShard is the sharding
 // speedup at the current GOMAXPROCS (compare with -cpu 8 or higher).
@@ -132,7 +134,7 @@ func benchCachedParallel(b *testing.B, shards int) {
 		// different keys (and hence different shards) at any instant.
 		i := next.Add(1) * 7
 		for pb.Next() {
-			if _, err := e.ChangLi(context.Background(), h, ps[i%benchSeeds]); err != nil {
+			if _, err := changLi(context.Background(), e, h, ps[i%benchSeeds]); err != nil {
 				b.Fatal(err)
 			}
 			i++
@@ -154,10 +156,11 @@ func BenchmarkEngineCachedQueryParallelSingleShard(b *testing.B) {
 }
 
 // benchChurn is the mixed churn workload behind the repair benchmarks: a
-// 10k-vertex store-backed graph, 4 warm decomposition seeds, and a 5%
-// chance per request that an edge toggles first (invalidating every warm
-// fingerprint). With repairK=0 each invalidation forces up to 4 full
-// recomputes; with repair enabled the misses patch the cached ancestor.
+// 10k-vertex store-backed graph, 4 warm decomposition seeds requested
+// through Run("changli"), and a 5% chance per request that an edge toggles
+// first (invalidating every warm fingerprint). With repairK=0 each
+// invalidation forces up to 4 full recomputes; with repair enabled the
+// misses patch the cached ancestor.
 // Reported metrics: hit_rate is the effective (recompute-avoiding) rate
 // including repairs, p99-ns/p50-ns the per-request latency tail.
 func benchChurn(b *testing.B, repairK int) {
@@ -170,7 +173,7 @@ func benchChurn(b *testing.B, repairK int) {
 	for s := range ps {
 		ps[s] = benchParams()
 		ps[s].Seed = uint64(s)
-		if _, err := e.ChangLi(context.Background(), h, ps[s]); err != nil {
+		if _, err := changLi(context.Background(), e, h, ps[s]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,7 +189,7 @@ func benchChurn(b *testing.B, repairK int) {
 			}
 		}
 		t0 := time.Now()
-		if _, err := e.ChangLi(context.Background(), h, ps[i%seeds]); err != nil {
+		if _, err := changLi(context.Background(), e, h, ps[i%seeds]); err != nil {
 			b.Fatal(err)
 		}
 		lat.Observe(time.Since(t0))
@@ -215,24 +218,28 @@ func BenchmarkEngineChurnRecompute(b *testing.B) {
 }
 
 // BenchmarkEngineStoreCachedQuery measures the store-handle resolve
-// overhead on the hit path: snapshot resolution + fingerprint key vs the
-// immutable handle of BenchmarkEngineCachedQuery.
+// overhead on the Run("changli") hit path: snapshot resolution +
+// fingerprint key vs the immutable handle of BenchmarkEngineCachedQuery.
 func BenchmarkEngineStoreCachedQuery(b *testing.B) {
 	g := benchGraph()
 	st := store.New(g)
 	e := New(Options{})
 	h := e.RegisterStore(st)
 	p := benchParams()
-	if _, err := e.ChangLi(context.Background(), h, p); err != nil {
+	if _, err := changLi(context.Background(), e, h, p); err != nil {
 		b.Fatal(err)
 	}
+	base := e.Stats().Computations
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.ChangLi(context.Background(), h, p); err != nil {
+		if _, err := changLi(context.Background(), e, h, p); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
+	if got := e.Stats().Computations; got != base {
+		b.Fatalf("cached path ran %d decompositions", got-base)
+	}
 	reportHitTail(b, e)
 }

@@ -61,31 +61,6 @@ func TestRunRegistryPath(t *testing.T) {
 	}
 }
 
-// TestTypedAndGenericShareCache pins the tentpole cache-key property: the
-// typed ChangLi path and the generic Run("changli") path collide on the
-// same cache slot.
-func TestTypedAndGenericShareCache(t *testing.T) {
-	g := gen.Grid(12, 12)
-	e := New(Options{})
-	h := e.Register(g)
-	p := ldd.Params{Epsilon: 0.3, Seed: 11, Scale: 0.05}
-	d, err := e.ChangLi(context.Background(), h, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(context.Background(), h, "changli",
-		algo.Params{"eps": "0.3", "seed": "11", "scale": "0.05"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Raw.(*ldd.Decomposition) != d {
-		t.Fatal("typed and generic requests did not share a cache slot")
-	}
-	if st := e.Stats(); st.Computations != 1 {
-		t.Fatalf("computations = %d, want 1", st.Computations)
-	}
-}
-
 // TestDeadlineBoundedRequest verifies a deadline-expired request returns
 // promptly with context.DeadlineExceeded, the error is not cached, and the
 // engine remains serviceable. The deadline is a tenth of an uncancelled
@@ -97,7 +72,7 @@ func TestDeadlineBoundedRequest(t *testing.T) {
 	p := ldd.Params{Epsilon: 0.1, Seed: 3}
 	ref := New(Options{})
 	start := time.Now()
-	if _, err := ref.ChangLi(context.Background(), ref.Register(g), p); err != nil {
+	if _, err := changLi(context.Background(), ref, ref.Register(g), p); err != nil {
 		t.Fatalf("uncancelled run failed: %v", err)
 	}
 	full := time.Since(start)
@@ -107,7 +82,7 @@ func TestDeadlineBoundedRequest(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), full/10)
 	defer cancel()
 	start = time.Now()
-	_, err := e.ChangLi(ctx, h, p)
+	_, err := changLi(ctx, e, h, p)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v after %v (deadline %v, full run %v), want context.DeadlineExceeded",
 			err, time.Since(start), full/10, full)
@@ -122,7 +97,7 @@ func TestDeadlineBoundedRequest(t *testing.T) {
 	// on a small graph.
 	h2 := e.Register(gen.Cycle(200))
 	p2 := ldd.Params{Epsilon: 0.3, Seed: 3, Scale: 0.05}
-	if _, err := e.ChangLi(context.Background(), h2, p2); err != nil {
+	if _, err := changLi(context.Background(), e, h2, p2); err != nil {
 		t.Fatalf("engine unusable after deadline: %v", err)
 	}
 }
@@ -224,7 +199,7 @@ func TestEvictionAndDedupCountersExposed(t *testing.T) {
 	e := New(Options{Capacity: 1, Shards: 1})
 	h := e.Register(g)
 	for seed := uint64(0); seed < 3; seed++ {
-		if _, err := e.ChangLi(context.Background(), h, ldd.Params{Epsilon: 0.3, Seed: seed, Scale: 0.05}); err != nil {
+		if _, err := changLi(context.Background(), e, h, ldd.Params{Epsilon: 0.3, Seed: seed, Scale: 0.05}); err != nil {
 			t.Fatal(err)
 		}
 	}

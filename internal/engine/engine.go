@@ -56,19 +56,15 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/algo"
 	"repro/internal/graph"
 	"repro/internal/graphio"
-	"repro/internal/ilp"
 	"repro/internal/ldd"
-	"repro/internal/netdecomp"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/solve"
 	"repro/internal/store"
 )
 
@@ -109,8 +105,8 @@ type Options struct {
 	// certificates. <= 0 means the default (32).
 	RepairMaxGen int
 	// Workers is the default per-query worker bound injected into requests
-	// for worker-capable algorithm families (and the Balls/LocalSolves fan
-	// outs) when the request leaves its own workers knob unset. <= 0 keeps
+	// for worker-capable algorithm families (and the Balls fan out) when
+	// the request leaves its own workers knob unset. <= 0 keeps
 	// the downstream default (GOMAXPROCS). Worker counts never change
 	// results (parallel execution is bit-identical to serial) and are
 	// excluded from cache keys, so this knob only shapes CPU usage.
@@ -194,7 +190,7 @@ type Stats struct {
 	// Evictions counts cache entries dropped by the LRU policy (capacity
 	// overflow or Unregister), summed over shards.
 	Evictions uint64
-	// Queries counts batch query calls (cluster-of, balls, local solves).
+	// Queries counts batch query calls (cluster-of, balls).
 	Queries uint64
 	// Cancellations counts requests that returned a context error
 	// (deadline exceeded or cancelled) instead of a result.
@@ -233,16 +229,11 @@ type cacheKey struct {
 	key string
 }
 
-// entry is one cache slot: completed when ready is closed. Cluster
-// materialization is cached lazily so repeated per-cluster queries do not
-// rebuild the vertex lists.
+// entry is one cache slot: completed when ready is closed.
 type entry struct {
 	ready chan struct{}
 	val   any
 	err   error
-
-	clustersOnce sync.Once
-	clusters     [][]int32
 }
 
 // Engine is the concurrent algorithm server. The zero value is not
@@ -600,31 +591,6 @@ func (e *Engine) do(ctx context.Context, key cacheKey, compute func(context.Cont
 	}
 }
 
-// getEntry is the read path of do used by the cluster queries: it returns
-// the entry itself so lazily materialized per-entry state can be shared.
-func (e *Engine) getEntry(ctx context.Context, key cacheKey, compute func(context.Context) (any, error)) (*entry, error) {
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	if ent, ok := sh.cache.get(key); ok {
-		e.hits.Add(1)
-		sh.mu.Unlock()
-		return ent, nil
-	}
-	sh.mu.Unlock()
-	if _, err := e.do(ctx, key, compute); err != nil {
-		return nil, err
-	}
-	// The entry is now cached (do only stores successful computations).
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ent, ok := sh.cache.get(key); ok {
-		return ent, nil
-	}
-	// Evicted between fill and re-read under heavy churn: extremely small
-	// window; surface as a retryable error rather than recursing.
-	return nil, fmt.Errorf("engine: result for %q evicted before use; raise Options.Capacity", key.key)
-}
-
 // stamp records the snapshot identity a result was computed against, so
 // callers (and tests) can audit which graph version produced a cached
 // entry.
@@ -680,101 +646,22 @@ func (e *Engine) Run(ctx context.Context, src Source, name string, p algo.Params
 	return v.(*algo.Result), nil
 }
 
-// ChangLi returns the Theorem 1.1 decomposition of src's snapshot under p,
-// computing it at most once per (fingerprint, params). This is the typed
-// hot path of Run("changli", ...): it shares cache slots with the generic
-// path (algo.ChangLiKey == Spec.CacheKey by construction) while building
-// the key with strconv appends. The result is shared; treat it as
-// immutable.
-func (e *Engine) ChangLi(ctx context.Context, src Source, p ldd.Params) (*ldd.Decomposition, error) {
-	p.Workers = e.defaultWorkers(p.Workers)
-	sv := src.resolve()
-	key := algo.ChangLiKey(p)
-	if tr := obs.FromContext(ctx); tr != nil {
-		tr.SetRequest("changli", key, sv.fp.String())
-	}
-	v, err := e.do(ctx, cacheKey{fp: sv.fp, key: key}, func(ctx context.Context) (any, error) {
-		if r, ok := e.tryRepair(ctx, sv, key, func(ctx context.Context, old *algo.Result, delta ldd.EdgeDelta) (*algo.Result, error) {
-			return algo.RepairChangLi(ctx, sv.view(), old, p, delta)
-		}); ok {
-			return r, nil
-		}
-		r, err := algo.RunChangLi(ctx, sv.graph(), p)
-		if err != nil {
-			return nil, err
-		}
-		return stamp(r, sv.fp), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*algo.Result).Raw.(*ldd.Decomposition), nil
-}
-
-// SparseCover returns the Lemma C.2 sparse cover of src's snapshot under
-// p, cached like ChangLi.
-func (e *Engine) SparseCover(ctx context.Context, src Source, p ldd.ENParams) (*ldd.Cover, error) {
-	p.Workers = e.defaultWorkers(p.Workers)
-	sv := src.resolve()
-	key := algo.SparseCoverKey(p)
-	if tr := obs.FromContext(ctx); tr != nil {
-		tr.SetRequest("sparsecover", key, sv.fp.String())
-	}
-	v, err := e.do(ctx, cacheKey{fp: sv.fp, key: key}, func(ctx context.Context) (any, error) {
-		if r, ok := e.tryRepair(ctx, sv, key, func(ctx context.Context, old *algo.Result, delta ldd.EdgeDelta) (*algo.Result, error) {
-			return algo.RepairSparseCover(ctx, sv.view(), old, p, delta)
-		}); ok {
-			return r, nil
-		}
-		r, err := algo.RunSparseCover(ctx, sv.graph(), p)
-		if err != nil {
-			return nil, err
-		}
-		return stamp(r, sv.fp), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*algo.Result).Raw.(*ldd.Cover), nil
-}
-
-// NetDecomp returns the Linial–Saks style colored network decomposition of
-// src's snapshot under p, cached like ChangLi.
-func (e *Engine) NetDecomp(ctx context.Context, src Source, p netdecomp.Params) (*netdecomp.Decomposition, error) {
-	p.Workers = e.defaultWorkers(p.Workers)
-	sv := src.resolve()
-	key := algo.NetDecompKey(p)
-	if tr := obs.FromContext(ctx); tr != nil {
-		tr.SetRequest("netdecomp", key, sv.fp.String())
-	}
-	v, err := e.do(ctx, cacheKey{fp: sv.fp, key: key}, func(ctx context.Context) (any, error) {
-		r, err := algo.RunNetDecomp(ctx, sv.graph(), p)
-		if err != nil {
-			return nil, err
-		}
-		return stamp(r, sv.fp), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*algo.Result).Raw.(*netdecomp.Decomposition), nil
-}
-
 // ClusterOf answers a batch of cluster-of-vertex queries against the cached
-// ChangLi decomposition of src's current snapshot (computing it on first
-// use). The returned slice is caller-owned.
+// changli decomposition of src's current snapshot under p (computing it on
+// first use through Run, so it shares the cache slot of the matching
+// /run request). The returned slice is caller-owned.
 func (e *Engine) ClusterOf(ctx context.Context, src Source, p ldd.Params, vs []int32) ([]int32, error) {
 	e.queries.Add(1)
-	d, err := e.ChangLi(ctx, src, p)
+	r, err := e.Run(ctx, src, "changli", algo.ChangLiParams(p))
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int32, len(vs))
 	for i, v := range vs {
-		if v < 0 || int(v) >= len(d.ClusterOf) {
-			return nil, fmt.Errorf("engine: vertex %d out of range [0, %d)", v, len(d.ClusterOf))
+		if v < 0 || int(v) >= len(r.ClusterOf) {
+			return nil, fmt.Errorf("engine: vertex %d out of range [0, %d)", v, len(r.ClusterOf))
 		}
-		out[i] = d.ClusterOf[v]
+		out[i] = r.ClusterOf[v]
 	}
 	return out, nil
 }
@@ -813,75 +700,6 @@ func (e *Engine) Balls(ctx context.Context, src Source, vs []int32, radius, work
 	if err != nil {
 		e.cancellations.Add(1)
 		return nil, err
-	}
-	return out, nil
-}
-
-// ClusterSolve is the result of one per-cluster local solve.
-type ClusterSolve struct {
-	// Cluster is the cluster id in the decomposition.
-	Cluster int
-	// Value is the local objective value (weight packed / weight paid).
-	Value int64
-	// Method is the solver path that produced it.
-	Method solve.Method
-}
-
-// LocalSolves runs the per-cluster local solve of inst over every cluster
-// of the cached ChangLi decomposition of src's current snapshot, computing
-// the decomposition at most once and fanning the independent per-cluster
-// solves out across the worker pool (workers <= 0 means GOMAXPROCS).
-// Packing instances use solve.PackingLocal, covering instances
-// solve.CoveringLocal; inst must have one variable per graph vertex.
-func (e *Engine) LocalSolves(ctx context.Context, src Source, p ldd.Params, inst *ilp.Instance, opt solve.Options, workers int) ([]ClusterSolve, error) {
-	e.queries.Add(1)
-	p.Workers = e.defaultWorkers(p.Workers)
-	sv := src.resolve()
-	if inst.NumVars() != sv.n() {
-		return nil, fmt.Errorf("engine: instance has %d variables, graph has %d vertices", inst.NumVars(), sv.n())
-	}
-	key := cacheKey{fp: sv.fp, key: algo.ChangLiKey(p)}
-	ent, err := e.getEntry(ctx, key, func(ctx context.Context) (any, error) {
-		if r, ok := e.tryRepair(ctx, sv, key.key, func(ctx context.Context, old *algo.Result, delta ldd.EdgeDelta) (*algo.Result, error) {
-			return algo.RepairChangLi(ctx, sv.view(), old, p, delta)
-		}); ok {
-			return r, nil
-		}
-		r, err := algo.RunChangLi(ctx, sv.graph(), p)
-		if err != nil {
-			return nil, err
-		}
-		return stamp(r, sv.fp), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	d := ent.val.(*algo.Result).Raw.(*ldd.Decomposition)
-	ent.clustersOnce.Do(func() { ent.clusters = d.Clusters() })
-	clusters := ent.clusters
-
-	out := make([]ClusterSolve, len(clusters))
-	errs := make([]error, len(clusters))
-	ferr := par.ForEachCtx(ctx, e.defaultWorkers(workers), len(clusters), func(_, c int) {
-		switch inst.Kind() {
-		case ilp.Covering:
-			_, val, m, err := solve.CoveringLocalCtx(ctx, inst, clusters[c], opt)
-			out[c] = ClusterSolve{Cluster: c, Value: val, Method: m}
-			errs[c] = err
-		default:
-			_, val, m, err := solve.PackingLocalCtx(ctx, inst, clusters[c], opt)
-			out[c] = ClusterSolve{Cluster: c, Value: val, Method: m}
-			errs[c] = err
-		}
-	})
-	if ferr != nil {
-		e.cancellations.Add(1)
-		return nil, ferr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

@@ -8,13 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/graph/gen"
 	"repro/internal/graphio"
-	"repro/internal/ilp"
 	"repro/internal/ldd"
-	"repro/internal/netdecomp"
-	"repro/internal/problems"
-	"repro/internal/solve"
 	"repro/internal/xrand"
 )
 
@@ -23,6 +20,23 @@ var bg = context.Background()
 
 func testParams() ldd.Params {
 	return ldd.Params{Epsilon: 0.3, Seed: 11, Scale: 0.05}
+}
+
+// runRaw requests name through Run and returns the typed result the
+// envelope carries (*ldd.Decomposition, *ldd.Cover, ...).
+func runRaw[T any](ctx context.Context, e *Engine, src Source, name string, p algo.Params) (T, error) {
+	r, err := e.Run(ctx, src, name, p)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return r.Raw.(T), nil
+}
+
+// changLi is the Theorem 1.1 request most engine tests make: changli
+// under typed params, through Run, unwrapped to the decomposition.
+func changLi(ctx context.Context, e *Engine, src Source, p ldd.Params) (*ldd.Decomposition, error) {
+	return runRaw[*ldd.Decomposition](ctx, e, src, "changli", algo.ChangLiParams(p))
 }
 
 func TestSingleflight64Goroutines(t *testing.T) {
@@ -41,7 +55,7 @@ func TestSingleflight64Goroutines(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			results[i], errs[i] = e.ChangLi(bg, h, p)
+			results[i], errs[i] = changLi(bg, e, h, p)
 		}(i)
 	}
 	start.Done()
@@ -71,7 +85,7 @@ func TestSingleflight64Goroutines(t *testing.T) {
 	direct := ldd.ChangLi(g, p)
 	pw := p
 	pw.Workers = 3
-	if got, err := e.ChangLi(bg, h, pw); err != nil || got != results[0] {
+	if got, err := changLi(bg, e, h, pw); err != nil || got != results[0] {
 		t.Fatalf("Workers-only param change missed the cache: %v %v", got, err)
 	}
 	if len(direct.ClusterOf) != len(results[0].ClusterOf) {
@@ -89,12 +103,12 @@ func TestCacheHitDoesZeroWork(t *testing.T) {
 	e := New(Options{})
 	h := e.Register(g)
 	p := testParams()
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changLi(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Stats()
 	for i := 0; i < 100; i++ {
-		if _, err := e.ChangLi(bg, h, p); err != nil {
+		if _, err := changLi(bg, e, h, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,26 +128,28 @@ func TestDistinctParamsAndAlgorithmsMiss(t *testing.T) {
 	p := testParams()
 	p2 := p
 	p2.Seed++
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	coverParams := algo.Params{"lambda": "0.5", "seed": "2"}
+	netParams := algo.Params{"lambda": "0.5", "seed": "3"}
+	if _, err := changLi(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ChangLi(bg, h, p2); err != nil {
+	if _, err := changLi(bg, e, h, p2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SparseCover(bg, h, ldd.ENParams{Lambda: 0.5, Seed: 2}); err != nil {
+	if _, err := e.Run(bg, h, "sparsecover", coverParams); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.NetDecomp(bg, h, netdecomp.Params{Lambda: 0.5, Seed: 3}); err != nil {
+	if _, err := e.Run(bg, h, "netdecomp", netParams); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Computations != 4 {
 		t.Fatalf("4 distinct requests ran %d computations", st.Computations)
 	}
 	// All four now served from cache.
-	e.ChangLi(bg, h, p)
-	e.ChangLi(bg, h, p2)
-	e.SparseCover(bg, h, ldd.ENParams{Lambda: 0.5, Seed: 2})
-	e.NetDecomp(bg, h, netdecomp.Params{Lambda: 0.5, Seed: 3})
+	changLi(bg, e, h, p)
+	changLi(bg, e, h, p2)
+	e.Run(bg, h, "sparsecover", coverParams)
+	e.Run(bg, h, "netdecomp", netParams)
 	if st := e.Stats(); st.Computations != 4 {
 		t.Fatalf("cache round ran %d computations, want 4", st.Computations)
 	}
@@ -149,7 +165,7 @@ func TestLRUEviction(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		pp := p
 		pp.Seed = seed
-		if _, err := e.ChangLi(bg, h, pp); err != nil {
+		if _, err := changLi(bg, e, h, pp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +175,7 @@ func TestLRUEviction(t *testing.T) {
 	// seed 0 was evicted; re-requesting recomputes it.
 	pp := p
 	pp.Seed = 0
-	if _, err := e.ChangLi(bg, h, pp); err != nil {
+	if _, err := changLi(bg, e, h, pp); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Computations != 4 {
@@ -167,7 +183,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// seed 2 is still resident (most recently used before the refill).
 	pp.Seed = 2
-	e.ChangLi(bg, h, pp)
+	changLi(bg, e, h, pp)
 	if st := e.Stats(); st.Computations != 4 {
 		t.Fatalf("resident entry recomputed (computations = %d)", st.Computations)
 	}
@@ -202,8 +218,8 @@ func TestRegisterCollapsesEqualGraphs(t *testing.T) {
 		t.Fatal("equal-fingerprint graphs not collapsed to one instance")
 	}
 	p := testParams()
-	e.ChangLi(bg, h1, p)
-	e.ChangLi(bg, h2, p)
+	changLi(bg, e, h1, p)
+	changLi(bg, e, h2, p)
 	if st := e.Stats(); st.Computations != 1 {
 		t.Fatalf("cross-handle requests ran %d computations, want 1", st.Computations)
 	}
@@ -214,7 +230,7 @@ func TestClusterOfBatch(t *testing.T) {
 	e := New(Options{})
 	h := e.Register(g)
 	p := testParams()
-	d, err := e.ChangLi(bg, h, p)
+	d, err := changLi(bg, e, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +295,7 @@ func TestUnregisterDropsGraphAndCache(t *testing.T) {
 	e := New(Options{})
 	h := e.Register(g)
 	p := testParams()
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changLi(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	e.Unregister(h)
@@ -287,7 +303,7 @@ func TestUnregisterDropsGraphAndCache(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
 	// The old handle still works; the result is recomputed and re-cached.
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changLi(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Computations != 2 {
@@ -297,56 +313,6 @@ func TestUnregisterDropsGraphAndCache(t *testing.T) {
 	h2 := e.Register(gen.Cycle(100))
 	if h2.Fingerprint() != h.Fingerprint() {
 		t.Fatal("fingerprint changed")
-	}
-}
-
-func TestLocalSolves(t *testing.T) {
-	g := gen.GNP(200, 6.0/200, xrand.New(4))
-	e := New(Options{})
-	h := e.Register(g)
-	p := testParams()
-
-	for _, prob := range []problems.Problem{problems.MIS, problems.MinVertexCover} {
-		inst, err := problems.Build(prob, g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, err := e.LocalSolves(bg, h, p, inst, solve.Options{}, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", prob, err)
-		}
-		d, _ := e.ChangLi(bg, h, p)
-		clusters := d.Clusters()
-		if len(sol) != len(clusters) {
-			t.Fatalf("%s: %d solves for %d clusters", prob, len(sol), len(clusters))
-		}
-		for c, cs := range sol {
-			var wantVal int64
-			var wantM solve.Method
-			if inst.Kind() == ilp.Covering {
-				_, wantVal, wantM, err = solve.CoveringLocal(inst, clusters[c], solve.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				_, wantVal, wantM = solve.PackingLocal(inst, clusters[c], solve.Options{})
-			}
-			if cs.Value != wantVal || cs.Method != wantM {
-				t.Fatalf("%s cluster %d: got (%d, %s), want (%d, %s)", prob, c, cs.Value, cs.Method, wantVal, wantM)
-			}
-		}
-	}
-	// One ChangLi underneath it all.
-	if st := e.Stats(); st.Computations != 1 {
-		t.Fatalf("local solves recomputed the decomposition (computations = %d)", st.Computations)
-	}
-	// Variable-count mismatch is rejected.
-	bad, err := problems.Build(problems.MIS, gen.Cycle(7), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.LocalSolves(bg, h, p, bad, solve.Options{}, 0); err == nil {
-		t.Fatal("instance/graph size mismatch accepted")
 	}
 }
 

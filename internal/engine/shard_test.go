@@ -317,7 +317,7 @@ func TestStoreSnapshotIsolationInFlight(t *testing.T) {
 	}
 }
 
-// TestStoreHandleServing drives the typed and batch paths through a store
+// TestStoreHandleServing drives the run and batch paths through a store
 // handle: mutation changes the served fingerprint, old results age out via
 // LRU, and Balls runs on the overlay without materializing.
 func TestStoreHandleServing(t *testing.T) {
@@ -327,12 +327,12 @@ func TestStoreHandleServing(t *testing.T) {
 	h := e.RegisterStore(st)
 	p := testParams()
 
-	d1, err := e.ChangLi(bg, h, p)
+	d1, err := changLi(bg, e, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Unchanged store: second request is a pure cache hit.
-	if d2, err := e.ChangLi(bg, h, p); err != nil || d2 != d1 {
+	if d2, err := changLi(bg, e, h, p); err != nil || d2 != d1 {
 		t.Fatalf("unchanged store missed the cache: %v", err)
 	}
 	// Mutation: same params, new snapshot, recompute.
@@ -341,7 +341,7 @@ func TestStoreHandleServing(t *testing.T) {
 			break
 		}
 	}
-	d3, err := e.ChangLi(bg, h, p)
+	d3, err := changLi(bg, e, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestStoreHandleServing(t *testing.T) {
 		t.Fatal("out-of-range vertex accepted on store path")
 	}
 
-	// ClusterOf through the store handle stays consistent with ChangLi.
+	// ClusterOf through the store handle stays consistent with changli.
 	cl, err := e.ClusterOf(bg, h, p, []int32{0, 42})
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +455,7 @@ func TestStoreChurnAgesOutEntries(t *testing.T) {
 	h := e.RegisterStore(st)
 	p := testParams()
 	for i := 0; i < 8; i++ {
-		if _, err := e.ChangLi(bg, h, p); err != nil {
+		if _, err := changLi(bg, e, h, p); err != nil {
 			t.Fatal(err)
 		}
 		if !st.AddEdge(i, 30+i) {

@@ -13,8 +13,8 @@ import (
 )
 
 // TestWorkersDefaultInjection pins the Options.Workers contract: the
-// engine-level default reaches both the typed and the generic request
-// paths, never changes results (parallel execution is bit-identical to
+// engine-level default reaches requests whose workers knob is "0" or
+// absent, never changes results (parallel execution is bit-identical to
 // serial), and never splits cache slots.
 func TestWorkersDefaultInjection(t *testing.T) {
 	g := gen.GNP(800, 10.0/800, xrand.New(7))
@@ -27,8 +27,9 @@ func TestWorkersDefaultInjection(t *testing.T) {
 	}
 	h := e.Register(g)
 
-	// Typed path: the injected default must not perturb the output.
-	d, err := e.ChangLi(bg, h, p)
+	// workers=0 (ldd.Params left unset): the injected default must not
+	// perturb the output.
+	d, err := changLi(bg, e, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +39,9 @@ func TestWorkersDefaultInjection(t *testing.T) {
 		}
 	}
 
-	// Generic path with no workers param: the injection happens on a
-	// cloned bag (the caller's map must stay untouched) and shares the
-	// cache slot with the typed request above.
+	// No workers param at all: the injection happens on a cloned bag (the
+	// caller's map must stay untouched) and shares the cache slot with the
+	// request above.
 	bag := algo.Params{"eps": "0.3", "seed": "11", "scale": "0.05"}
 	r, err := e.Run(bg, h, "changli", bag)
 	if err != nil {
@@ -50,14 +51,14 @@ func TestWorkersDefaultInjection(t *testing.T) {
 		t.Fatal("engine mutated the caller's params map")
 	}
 	if r.Raw.(*ldd.Decomposition) != d {
-		t.Fatal("generic and typed requests with injected workers split the cache")
+		t.Fatal("requests with and without a workers param split the cache")
 	}
 
 	// An explicit per-request worker count wins over the default and
 	// still lands in the same cache slot (workers is excluded from keys).
 	pw := p
 	pw.Workers = 1
-	if d1, err := e.ChangLi(bg, h, pw); err != nil || d1 != d {
+	if d1, err := changLi(bg, e, h, pw); err != nil || d1 != d {
 		t.Fatalf("explicit Workers:1 missed the cache: %v %v", d1, err)
 	}
 	if st := e.Stats(); st.Computations != 1 {
@@ -83,11 +84,12 @@ func TestConcurrentParallelQueries(t *testing.T) {
 	e := New(Options{Workers: 4})
 	h := e.Register(g)
 
-	want, err := e.ChangLi(bg, h, testParams())
+	want, err := changLi(bg, e, h, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantND, err := e.NetDecomp(bg, h, netdecomp.Params{Seed: 5})
+	ndParams := algo.Params{"seed": "5"}
+	wantND, err := runRaw[*netdecomp.Decomposition](bg, e, h, "netdecomp", ndParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +105,13 @@ func TestConcurrentParallelQueries(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				switch (i + it) % 3 {
 				case 0:
-					d, err := e.ChangLi(bg, h, testParams())
+					d, err := changLi(bg, e, h, testParams())
 					if err == nil && d != want {
 						err = errDifferentInstance
 					}
 					errs[i] = err
 				case 1:
-					nd, err := e.NetDecomp(bg, h, netdecomp.Params{Seed: 5})
+					nd, err := runRaw[*netdecomp.Decomposition](bg, e, h, "netdecomp", ndParams)
 					if err == nil && nd != wantND {
 						err = errDifferentInstance
 					}
@@ -119,7 +121,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 					// racing against the cache hits above.
 					p := testParams()
 					p.Seed = uint64(1000 + i*iters + it)
-					_, err := e.ChangLi(bg, h, p)
+					_, err := changLi(bg, e, h, p)
 					errs[i] = err
 				}
 				if errs[i] != nil {

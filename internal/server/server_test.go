@@ -279,6 +279,41 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestClusterQuerySharesRunSlot pins that /query op=cluster and the
+// matching /run changli reach one engine cache slot: the query answers
+// from the run's decomposition and the engine computes it once.
+func TestClusterQuerySharesRunSlot(t *testing.T) {
+	srv, c := newTestServer(t, Options{})
+	ctx := context.Background()
+	info, err := c.Generate(ctx, "gnp", 200, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(ctx, info.ID, RunRequest{Algo: "changli", Q: "eps=0.3 scale=0.05 seed=1"})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	vs := []int32{0, 3, 42, 117, 199}
+	qres, err := c.Query(ctx, info.ID, QueryRequest{Op: "cluster", Vertices: vs, Eps: 0.3, Scale: 0.05, Seed: 1})
+	if err != nil {
+		t.Fatalf("cluster query: %v", err)
+	}
+	if qres.Snapshot != res.Snapshot {
+		t.Fatalf("query snapshot %s, run snapshot %s", qres.Snapshot, res.Snapshot)
+	}
+	if len(qres.Clusters) != len(vs) {
+		t.Fatalf("%d answers for %d vertices", len(qres.Clusters), len(vs))
+	}
+	for i, v := range vs {
+		if qres.Clusters[i] != res.ClusterOf[v] {
+			t.Fatalf("vertex %d: query cluster %d, run cluster_of %d", v, qres.Clusters[i], res.ClusterOf[v])
+		}
+	}
+	if st := srv.Engine().Stats(); st.Computations != 1 || st.Hits != 1 {
+		t.Fatalf("computations = %d, hits = %d, want 1 and 1 (the query reads the run's slot)", st.Computations, st.Hits)
+	}
+}
+
 func TestMutationEndpoints(t *testing.T) {
 	_, c := newTestServer(t, Options{})
 	ctx := context.Background()
