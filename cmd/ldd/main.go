@@ -135,7 +135,10 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "graph: %s %v (diameter sample: eccentricity(0) = %d)\n", *graphKind, g, g.Eccentricity(0))
+	ws := graph.AcquireWorkspace()
+	ecc := g.EccentricityWithWorkspace(ws, 0)
+	graph.ReleaseWorkspace(ws)
+	fmt.Fprintf(w, "graph: %s %v (diameter sample: eccentricity(0) = %d)\n", *graphKind, g, ecc)
 
 	p, err := specParams(spec, *eps, *seed, *scale, *repair, *extra)
 	if err != nil {

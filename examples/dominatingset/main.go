@@ -15,6 +15,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/hypergraph"
 	"repro/internal/problems"
@@ -22,6 +23,7 @@ import (
 
 func main() {
 	g := gen.Torus(16, 16) // a 256-node wraparound mesh
+	ws := graph.NewWorkspace(g.N())
 	for _, k := range []int{1, 2, 3} {
 		inst, err := problems.BuildK(k, g, nil)
 		if err != nil {
@@ -35,7 +37,7 @@ func main() {
 			log.Fatalf("k=%d: output is not a %d-dominating set", k, k)
 		}
 		// Packing lower bound: a probe covers at most |N^k| nodes.
-		ball := len(g.Ball(0, k))
+		ball := len(g.BallAliveWithWorkspace(ws, 0, k, nil))
 		lb := (g.N() + ball - 1) / ball
 		// Definition 1.3: simulating the hypergraph costs k rounds per round.
 		h := inst.Hypergraph()

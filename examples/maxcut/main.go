@@ -35,8 +35,9 @@ func main() {
 	for i := range side {
 		side[i] = -1
 	}
+	ws := graph.NewWorkspace(g.N())
 	for _, cluster := range dec.Clusters() {
-		sub, back := g.Induced(cluster)
+		sub, back := g.InducedWithWorkspace(ws, cluster)
 		ok, coloring := sub.IsBipartite()
 		if !ok {
 			log.Fatal("cluster of a bipartite graph must be bipartite")

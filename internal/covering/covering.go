@@ -350,7 +350,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	// (Lemma C.3); overlap cost is the geometric multiplicity.
 	var regions [][]int32
 	regions = append(regions, cov.Clusters...)
-	comp, count := g.ComponentsAlive(st.removed)
+	comp, count := g.ComponentsAliveWithWorkspace(wks[0].lws.G, st.removed)
 	removedRegions := make([][]int32, count)
 	for v := 0; v < n; v++ {
 		if st.removed[v] {

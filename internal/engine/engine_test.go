@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/algo"
+	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/graphio"
 	"repro/internal/ldd"
@@ -257,13 +258,14 @@ func TestBallsBatch(t *testing.T) {
 	e := New(Options{})
 	h := e.Register(g)
 	vs := []int32{0, 17, 123, 299, 17}
+	ws := graph.NewWorkspace(g.N())
 	for _, workers := range []int{1, 4} {
 		got, err := e.Balls(bg, h, vs, 2, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range vs {
-			want := g.Ball(int(v), 2)
+			want := g.BallAliveWithWorkspace(ws, int(v), 2, nil)
 			if len(got[i]) != len(want) {
 				t.Fatalf("workers=%d vertex %d: ball size %d != %d", workers, v, len(got[i]), len(want))
 			}

@@ -356,12 +356,13 @@ func TestStoreHandleServing(t *testing.T) {
 	snap := st.Snapshot()
 	mat := snap.Graph()
 	vs := []int32{0, 9, 150}
+	ws := graph.NewWorkspace(mat.N())
 	got, err := e.Balls(bg, h, vs, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range vs {
-		want := mat.Ball(int(v), 2)
+		want := mat.BallAliveWithWorkspace(ws, int(v), 2, nil)
 		if len(got[i]) != len(want) {
 			t.Fatalf("vertex %d: ball size %d != %d", v, len(got[i]), len(want))
 		}
@@ -399,6 +400,7 @@ func TestPinnedSnapshotServesPinnedVersion(t *testing.T) {
 	snap := st.Snapshot()
 	pinned := Pin(snap)
 	old := snap.Graph()
+	ws := graph.NewWorkspace(old.N())
 	// Chords through the query vertices change both kinds of answer.
 	for i, v := range vs {
 		st.AddEdge(int(v), int(vs[(i+2)%len(vs)]))
@@ -418,7 +420,7 @@ func TestPinnedSnapshotServesPinnedVersion(t *testing.T) {
 	}
 	moved := false
 	for i, v := range vs {
-		if want := old.Ball(int(v), 2); !slices.Equal(balls[i], want) {
+		if want := old.BallAliveWithWorkspace(ws, int(v), 2, nil); !slices.Equal(balls[i], want) {
 			t.Fatalf("vertex %d: pinned ball %v, want the pinned version's %v", v, balls[i], want)
 		}
 		moved = moved || !slices.Equal(cur[i], balls[i])

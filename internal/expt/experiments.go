@@ -516,6 +516,8 @@ func E11KDomSet(cfg Config) *Table {
 		rows, cols = 8, 8
 	}
 	g := gen.Torus(rows, cols)
+	ws := graph.AcquireWorkspace()
+	defer graph.ReleaseWorkspace(ws)
 	for _, k := range []int{1, 2} {
 		inst, err := problems.BuildK(k, g, nil)
 		if err != nil {
@@ -525,7 +527,7 @@ func E11KDomSet(cfg Config) *Table {
 		if err != nil {
 			continue
 		}
-		ballSize := len(g.Ball(0, k))
+		ballSize := len(g.BallAliveWithWorkspace(ws, 0, k, nil))
 		lb := (g.N() + ballSize - 1) / ballSize
 		// One hypergraph round costs k base rounds (Definition 1.3).
 		t.AddRow(d(k), d(g.N()), d(int(r.Value)), d(lb),

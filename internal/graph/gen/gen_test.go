@@ -3,15 +3,18 @@ package gen
 import (
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/xrand"
 )
+
+func diameter(g *graph.Graph) int { return g.DiameterWithWorkspace(graph.NewWorkspace(0)) }
 
 func TestPath(t *testing.T) {
 	g := Path(5)
 	if g.N() != 5 || g.M() != 4 {
 		t.Fatalf("path(5): n=%d m=%d", g.N(), g.M())
 	}
-	if g.Diameter() != 4 {
+	if diameter(g) != 4 {
 		t.Fatal("path diameter")
 	}
 }
@@ -60,8 +63,8 @@ func TestGrid(t *testing.T) {
 	if ok, _ := g.IsBipartite(); !ok {
 		t.Fatal("grid must be bipartite")
 	}
-	if g.Diameter() != 3+4 {
-		t.Fatalf("grid diameter = %d", g.Diameter())
+	if diameter(g) != 3+4 {
+		t.Fatalf("grid diameter = %d", diameter(g))
 	}
 }
 
@@ -82,8 +85,8 @@ func TestHypercube(t *testing.T) {
 	if g.N() != 16 || g.M() != 32 {
 		t.Fatalf("Q4: n=%d m=%d", g.N(), g.M())
 	}
-	if g.Diameter() != 4 {
-		t.Fatalf("Q4 diameter = %d", g.Diameter())
+	if diameter(g) != 4 {
+		t.Fatalf("Q4 diameter = %d", diameter(g))
 	}
 	if ok, _ := g.IsBipartite(); !ok {
 		t.Fatal("hypercube must be bipartite")
@@ -95,7 +98,7 @@ func TestStar(t *testing.T) {
 	if g.Degree(0) != 9 {
 		t.Fatal("star center degree")
 	}
-	if g.Diameter() != 2 {
+	if diameter(g) != 2 {
 		t.Fatal("star diameter")
 	}
 }
@@ -125,7 +128,7 @@ func TestRandomTree(t *testing.T) {
 	if g.N() != 50 || g.M() != 49 {
 		t.Fatalf("random tree: n=%d m=%d", g.N(), g.M())
 	}
-	_, count := g.Components()
+	_, count := g.ComponentsAliveWithWorkspace(graph.NewWorkspace(0), nil)
 	if count != 1 {
 		t.Fatal("random tree disconnected")
 	}
@@ -228,8 +231,8 @@ func TestCliquePlusPath(t *testing.T) {
 	if g.Degree(29) != 1 {
 		t.Fatalf("path end degree = %d", g.Degree(29))
 	}
-	if g.Diameter() != 20+1 {
-		t.Fatalf("diameter = %d", g.Diameter())
+	if diameter(g) != 20+1 {
+		t.Fatalf("diameter = %d", diameter(g))
 	}
 }
 

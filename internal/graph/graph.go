@@ -1,22 +1,22 @@
 // Package graph provides the undirected-graph substrate used by every
 // algorithm in this repository: a compact immutable adjacency structure,
-// breadth-first searches (single-source, multi-source, and radius-bounded),
-// ball queries N^k(v), connected components, induced subgraphs with vertex
+// radius-bounded breadth-first search, ball queries N^k(v) from a vertex or
+// a seed set, connected components, induced subgraphs with vertex
 // remapping, graph powers, edge subdivision, and structural predicates
-// (bipartiteness, girth, diameter).
+// (bipartiteness, girth, eccentricity, diameters).
 //
 // Vertices are dense integers 0..N-1. Graphs are simple (no self-loops, no
 // multi-edges) and immutable after construction; algorithms that "delete"
 // vertices operate on an alive-mask or build induced subgraphs, which keeps
 // the base structure shareable across goroutines without locks.
 //
-// Every traversal comes in two flavors: the classic form (BFSBounded, Ball,
-// Induced, ...), which returns caller-owned results, and a *WithWorkspace
-// form that runs on a reusable Workspace and performs zero allocations once
-// warm. The classic forms are thin wrappers over a pooled workspace, so hot
-// loops should hold an explicit Workspace — one per goroutine — and call the
-// *WithWorkspace variants directly. See Workspace for the ownership and
-// aliasing rules.
+// Every traversal has one form, a *WithWorkspace method that runs on a
+// caller-held Workspace and performs zero allocations once warm. The suffix
+// marks that the result aliases the workspace: it is valid until the next
+// traversal on the same workspace, so a caller that keeps it must copy it.
+// Hot loops hold one Workspace per goroutine; one-shot callers borrow one
+// with AcquireWorkspace / ReleaseWorkspace. See Workspace for the ownership
+// and aliasing rules.
 //
 // Each traversal shape has exactly one serial loop. The CSR loops are
 // methods on *Graph; the only traversal over the View interface is
@@ -248,120 +248,6 @@ var _ View = (*Graph)(nil)
 // bounded or disconnected BFS.
 const Unreachable = int32(-1)
 
-// BFS computes single-source distances from src. dist[v] == Unreachable for
-// vertices in other components.
-func (g *Graph) BFS(src int) []int32 {
-	return g.BFSBounded(src, -1)
-}
-
-// BFSBounded computes distances from src up to the given radius (inclusive).
-// A negative radius means unbounded. The caller owns the returned slice; for
-// an allocation-free variant see BFSBoundedWithWorkspace.
-func (g *Graph) BFSBounded(src, radius int) []int32 {
-	ws := AcquireWorkspace()
-	dist := append([]int32(nil), g.BFSBoundedWithWorkspace(ws, src, radius)...)
-	ReleaseWorkspace(ws)
-	return dist
-}
-
-// MultiBFS computes, for every vertex, the distance to the nearest source
-// and the identity of that source (ties broken toward the earlier BFS
-// settlement, which for equal distances is the smaller queue position).
-// Vertices unreachable from any source get distance Unreachable and source
-// -1.
-func (g *Graph) MultiBFS(sources []int) (dist []int32, from []int32) {
-	ws := AcquireWorkspace()
-	d, f := g.MultiBFSWithWorkspace(ws, sources)
-	dist = append([]int32(nil), d...)
-	from = append([]int32(nil), f...)
-	ReleaseWorkspace(ws)
-	return dist, from
-}
-
-// Ball returns the vertices of N^k(v) = {u : dist(u,v) <= k}, in BFS order
-// (hence sorted by distance), including v itself.
-func (g *Graph) Ball(v, k int) []int32 {
-	return g.BallAlive(v, k, nil)
-}
-
-// BallAlive returns N^k(v) restricted to the subgraph induced by vertices u
-// with alive[u] == true. A nil alive mask means all vertices are alive. If v
-// itself is dead the ball is empty. The caller owns the returned slice; for
-// an allocation-free variant see BallAliveWithWorkspace.
-func (g *Graph) BallAlive(v, k int, alive []bool) []int32 {
-	ws := AcquireWorkspace()
-	res := g.BallAliveWithWorkspace(ws, v, k, alive)
-	var ball []int32
-	if res != nil {
-		ball = append([]int32(nil), res...)
-	}
-	ReleaseWorkspace(ws)
-	return ball
-}
-
-// BallLayers returns the layers S_0, S_1, ..., S_k of the BFS from v in the
-// alive-induced subgraph: S_j is the set of alive vertices at distance
-// exactly j from v. Trailing empty layers are trimmed.
-func (g *Graph) BallLayers(v, k int, alive []bool) [][]int32 {
-	ws := AcquireWorkspace()
-	res := g.BallLayersWithWorkspace(ws, v, k, alive)
-	var layers [][]int32
-	if res != nil {
-		layers = make([][]int32, len(res))
-		for i, l := range res {
-			layers[i] = append([]int32(nil), l...)
-		}
-	}
-	ReleaseWorkspace(ws)
-	return layers
-}
-
-// Components returns the connected-component id of each vertex (ids are
-// dense, 0-based, in order of first discovery) and the number of components.
-func (g *Graph) Components() (comp []int32, count int) {
-	return g.ComponentsAlive(nil)
-}
-
-// ComponentsAlive is Components restricted to the alive-induced subgraph.
-// Dead vertices get component id -1.
-func (g *Graph) ComponentsAlive(alive []bool) (comp []int32, count int) {
-	ws := AcquireWorkspace()
-	c, count := g.ComponentsAliveWithWorkspace(ws, alive)
-	comp = append([]int32(nil), c...)
-	ReleaseWorkspace(ws)
-	return comp, count
-}
-
-// Induced builds the subgraph induced by the given vertex set. It returns
-// the new graph and the mapping newID -> oldID (the inverse mapping can be
-// derived by the caller). Duplicate vertices in the input are collapsed.
-func (g *Graph) Induced(vertices []int32) (*Graph, []int32) {
-	ws := AcquireWorkspace()
-	sub, back := g.InducedWithWorkspace(ws, vertices)
-	out := &Graph{
-		offsets: append([]int32(nil), sub.offsets...),
-		adj:     append([]int32(nil), sub.adj...),
-		m:       sub.m,
-	}
-	newToOld := append([]int32(nil), back...)
-	ReleaseWorkspace(ws)
-	return out, newToOld
-}
-
-// Power returns the k-th power graph G^k: same vertex set, an edge between
-// any two distinct vertices at distance <= k in G. Quadratic in ball sizes;
-// intended for the moderate k used by the GKM baseline.
-func (g *Graph) Power(k int) *Graph {
-	if k <= 1 {
-		// G^1 == G; return a copy-free alias (Graph is immutable).
-		return g
-	}
-	ws := AcquireWorkspace()
-	p := g.PowerWithWorkspace(ws, k)
-	ReleaseWorkspace(ws)
-	return p
-}
-
 // Subdivide returns the graph obtained by replacing every edge {u, v} with a
 // path u - w_1 - ... - w_{extra} - v of extra new internal vertices (so the
 // path has length extra+1). extra = 0 returns an isomorphic copy. This is
@@ -460,42 +346,5 @@ func (g *Graph) Girth() int {
 			}
 		}
 	}
-	return best
-}
-
-// Diameter returns the maximum eccentricity over all vertices, treating each
-// connected component separately and returning the max over components.
-// Returns 0 for an empty or edgeless graph.
-func (g *Graph) Diameter() int {
-	ws := AcquireWorkspace()
-	best := g.DiameterWithWorkspace(ws)
-	ReleaseWorkspace(ws)
-	return best
-}
-
-// Eccentricity returns max_u dist(v, u) within v's component.
-func (g *Graph) Eccentricity(v int) int {
-	ws := AcquireWorkspace()
-	best := g.EccentricityWithWorkspace(ws, v)
-	ReleaseWorkspace(ws)
-	return best
-}
-
-// WeakDiameter returns max over u,v in S of dist_G(u, v): distances are
-// measured in the whole graph g, not the induced subgraph. Returns -1 if
-// some pair of S is disconnected in g.
-func (g *Graph) WeakDiameter(s []int32) int {
-	ws := AcquireWorkspace()
-	best := g.WeakDiameterWithWorkspace(ws, s)
-	ReleaseWorkspace(ws)
-	return best
-}
-
-// StrongDiameter returns the diameter of the subgraph induced by S, or -1 if
-// that subgraph is disconnected.
-func (g *Graph) StrongDiameter(s []int32) int {
-	ws := AcquireWorkspace()
-	best := g.StrongDiameterWithWorkspace(ws, s)
-	ReleaseWorkspace(ws)
 	return best
 }

@@ -103,7 +103,7 @@ func TestEdgesIteration(t *testing.T) {
 
 func TestBFSPath(t *testing.T) {
 	g := path(10)
-	dist := g.BFS(0)
+	dist := g.BFSBoundedWithWorkspace(NewWorkspace(0), 0, -1)
 	for v := 0; v < 10; v++ {
 		if int(dist[v]) != v {
 			t.Fatalf("dist[%d] = %d", v, dist[v])
@@ -116,7 +116,7 @@ func TestBFSDisconnected(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	g := b.Build()
-	dist := g.BFS(0)
+	dist := g.BFSBoundedWithWorkspace(NewWorkspace(0), 0, -1)
 	if dist[2] != Unreachable || dist[3] != Unreachable {
 		t.Fatalf("disconnected vertices reachable: %v", dist)
 	}
@@ -124,7 +124,7 @@ func TestBFSDisconnected(t *testing.T) {
 
 func TestBFSBounded(t *testing.T) {
 	g := path(10)
-	dist := g.BFSBounded(0, 3)
+	dist := g.BFSBoundedWithWorkspace(NewWorkspace(0), 0, 3)
 	if dist[3] != 3 {
 		t.Fatalf("dist[3] = %d", dist[3])
 	}
@@ -133,27 +133,9 @@ func TestBFSBounded(t *testing.T) {
 	}
 }
 
-func TestMultiBFS(t *testing.T) {
-	g := path(10)
-	dist, from := g.MultiBFS([]int{0, 9})
-	if dist[4] != 4 || dist[5] != 4 {
-		t.Fatalf("multi-source distances wrong: %v", dist)
-	}
-	if from[1] != 0 || from[8] != 9 {
-		t.Fatalf("source attribution wrong: %v", from)
-	}
-	// No sources.
-	dist, _ = g.MultiBFS(nil)
-	for _, d := range dist {
-		if d != Unreachable {
-			t.Fatal("no-source BFS reached a vertex")
-		}
-	}
-}
-
 func TestBall(t *testing.T) {
 	g := path(10)
-	ball := g.Ball(5, 2)
+	ball := g.BallAliveWithWorkspace(NewWorkspace(0), 5, 2, nil)
 	if len(ball) != 5 { // {3,4,5,6,7}
 		t.Fatalf("ball size = %d, want 5", len(ball))
 	}
@@ -169,20 +151,22 @@ func TestBallAlive(t *testing.T) {
 		alive[i] = true
 	}
 	alive[4] = false // cuts off the left side from 5
-	ball := g.BallAlive(5, 5, alive)
+	ws := NewWorkspace(0)
+	ball := g.BallAliveWithWorkspace(ws, 5, 5, alive)
 	for _, v := range ball {
 		if v <= 4 {
 			t.Fatalf("ball crossed dead vertex: %v", ball)
 		}
 	}
-	if got := g.BallAlive(4, 3, alive); got != nil {
+	if got := g.BallAliveWithWorkspace(ws, 4, 3, alive); got != nil {
 		t.Fatal("ball of a dead center should be empty")
 	}
 }
 
 func TestBallLayers(t *testing.T) {
 	g := cycle(8)
-	layers := g.BallLayers(0, 3, nil)
+	ws := NewWorkspace(0)
+	layers := g.BallLayersWithWorkspace(ws, 0, 3, nil)
 	wantSizes := []int{1, 2, 2, 2}
 	if len(layers) != len(wantSizes) {
 		t.Fatalf("layers = %d, want %d", len(layers), len(wantSizes))
@@ -193,7 +177,7 @@ func TestBallLayers(t *testing.T) {
 		}
 	}
 	// Layers should stop early when the graph is exhausted.
-	layers = g.BallLayers(0, 100, nil)
+	layers = g.BallLayersWithWorkspace(ws, 0, 100, nil)
 	total := 0
 	for _, l := range layers {
 		total += len(l)
@@ -209,7 +193,7 @@ func TestComponents(t *testing.T) {
 	b.AddEdge(1, 2)
 	b.AddEdge(3, 4)
 	g := b.Build()
-	comp, count := g.Components()
+	comp, count := g.ComponentsAliveWithWorkspace(NewWorkspace(0), nil)
 	if count != 3 {
 		t.Fatalf("components = %d, want 3", count)
 	}
@@ -221,7 +205,7 @@ func TestComponents(t *testing.T) {
 func TestComponentsAlive(t *testing.T) {
 	g := path(5)
 	alive := []bool{true, true, false, true, true}
-	comp, count := g.ComponentsAlive(alive)
+	comp, count := g.ComponentsAliveWithWorkspace(NewWorkspace(0), alive)
 	if count != 2 {
 		t.Fatalf("alive components = %d, want 2", count)
 	}
@@ -235,7 +219,7 @@ func TestComponentsAlive(t *testing.T) {
 
 func TestInduced(t *testing.T) {
 	g := complete(5)
-	sub, back := g.Induced([]int32{1, 3, 4, 3}) // duplicate collapses
+	sub, back := g.InducedWithWorkspace(NewWorkspace(0), []int32{1, 3, 4, 3}) // duplicate collapses
 	if sub.N() != 3 {
 		t.Fatalf("induced n = %d", sub.N())
 	}
@@ -249,14 +233,15 @@ func TestInduced(t *testing.T) {
 
 func TestPower(t *testing.T) {
 	g := path(5)
-	g2 := g.Power(2)
+	ws := NewWorkspace(0)
+	g2 := g.PowerWithWorkspace(ws, 2)
 	if !g2.HasEdge(0, 2) || !g2.HasEdge(1, 3) {
 		t.Fatal("power graph missing distance-2 edges")
 	}
 	if g2.HasEdge(0, 3) {
 		t.Fatal("power graph has distance-3 edge")
 	}
-	if g.Power(1) != g {
+	if g.PowerWithWorkspace(ws, 1) != g {
 		t.Fatal("Power(1) should alias the graph")
 	}
 }
@@ -338,35 +323,37 @@ func TestGirthPetersen(t *testing.T) {
 }
 
 func TestDiameterAndEccentricity(t *testing.T) {
-	if d := path(10).Diameter(); d != 9 {
+	ws := NewWorkspace(0)
+	if d := path(10).DiameterWithWorkspace(ws); d != 9 {
 		t.Fatalf("path diameter = %d", d)
 	}
-	if d := cycle(10).Diameter(); d != 5 {
+	if d := cycle(10).DiameterWithWorkspace(ws); d != 5 {
 		t.Fatalf("cycle diameter = %d", d)
 	}
-	if e := path(10).Eccentricity(5); e != 5 {
+	if e := path(10).EccentricityWithWorkspace(ws, 5); e != 5 {
 		t.Fatalf("eccentricity = %d", e)
 	}
 }
 
 func TestWeakVsStrongDiameter(t *testing.T) {
 	g := cycle(10)
+	ws := NewWorkspace(0)
 	// S = {0, 5}: weak diameter 5 (through the graph), strong diameter -1
 	// (induced subgraph is disconnected).
 	s := []int32{0, 5}
-	if wd := g.WeakDiameter(s); wd != 5 {
+	if wd := g.WeakDiameterWithWorkspace(ws, s); wd != 5 {
 		t.Fatalf("weak diameter = %d", wd)
 	}
-	if sd := g.StrongDiameter(s); sd != -1 {
+	if sd := g.StrongDiameterWithWorkspace(ws, s); sd != -1 {
 		t.Fatalf("strong diameter = %d, want -1", sd)
 	}
 	// A contiguous arc has equal weak/strong diameter only when the arc is
 	// at most half the cycle.
 	arc := []int32{0, 1, 2, 3}
-	if wd := g.WeakDiameter(arc); wd != 3 {
+	if wd := g.WeakDiameterWithWorkspace(ws, arc); wd != 3 {
 		t.Fatalf("arc weak diameter = %d", wd)
 	}
-	if sd := g.StrongDiameter(arc); sd != 3 {
+	if sd := g.StrongDiameterWithWorkspace(ws, arc); sd != 3 {
 		t.Fatalf("arc strong diameter = %d", sd)
 	}
 }
@@ -394,12 +381,13 @@ func TestBFSTriangleProperty(t *testing.T) {
 			}
 		}
 		g := b.Build()
-		d0 := g.BFS(0)
+		ws := NewWorkspace(0)
+		d0 := slices.Clone(g.BFSBoundedWithWorkspace(ws, 0, -1))
 		for w := 0; w < n; w++ {
 			if d0[w] == Unreachable {
 				continue
 			}
-			dw := g.BFS(w)
+			dw := g.BFSBoundedWithWorkspace(ws, w, -1)
 			for v := 0; v < n; v++ {
 				if d0[v] == Unreachable || dw[v] == Unreachable {
 					continue
@@ -431,16 +419,17 @@ func TestBallMonotoneProperty(t *testing.T) {
 			}
 		}
 		g := b.Build()
+		ws := NewWorkspace(0)
 		prev := 0
 		for k := 0; k <= n; k++ {
-			size := len(g.Ball(0, k))
+			size := len(g.BallAliveWithWorkspace(ws, 0, k, nil))
 			if size < prev {
 				return false
 			}
 			prev = size
 		}
 		// Final ball = component of 0.
-		comp, _ := g.Components()
+		comp, _ := g.ComponentsAliveWithWorkspace(ws, nil)
 		compSize := 0
 		for _, c := range comp {
 			if c == comp[0] {
@@ -468,9 +457,10 @@ func BenchmarkBFSGrid(b *testing.B) {
 		}
 	}
 	g := bb.Build()
+	ws := NewWorkspace(g.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.BFS(0)
+		_ = g.BFSBoundedWithWorkspace(ws, 0, -1)
 	}
 }
 
@@ -504,7 +494,7 @@ func TestViewBallMatchesBall(t *testing.T) {
 			for k := 0; k <= 4; k++ {
 				want := append([]int32(nil), g.BallFromSetWithWorkspace(ws, seeds, k, nil)...)
 				if len(seeds) == 1 {
-					if single := g.Ball(int(seeds[0]), k); !slices.Equal(single, want) {
+					if single := g.BallAliveWithWorkspace(ws, int(seeds[0]), k, nil); !slices.Equal(single, want) {
 						t.Fatalf("%v seed=%d k=%d: Ball %v != BallFromSet %v", g, seeds[0], k, single, want)
 					}
 				}

@@ -7,8 +7,8 @@ import (
 )
 
 // Workspace holds the reusable scratch state for the traversal primitives:
-// an epoch-stamped visited array (O(1) reset), distance/provenance arrays
-// with dirty-list resets, a preallocated queue that doubles as the BFS-order
+// an epoch-stamped visited array (O(1) reset), a distance array with a
+// dirty-list reset, a preallocated queue that doubles as the BFS-order
 // output buffer, reusable layer headers, a dense old→new Remap, and the
 // storage backing InducedWithWorkspace results. After a few warm-up calls a
 // Workspace makes every *WithWorkspace traversal allocation-free.
@@ -25,11 +25,10 @@ type Workspace struct {
 	stamp []int32
 	epoch int32
 
-	// dist/from are maintained all-Unreachable / all -1 between calls; the
-	// dirty list records which entries the previous BFS touched so the next
-	// call resets O(visited), not O(n).
+	// dist is maintained all-Unreachable between calls; the dirty list
+	// records which entries the previous BFS touched so the next call
+	// resets O(visited), not O(n).
 	dist      []int32
-	from      []int32
 	distDirty []int32
 
 	// queue is the BFS queue; for ball queries the output buffer itself is
@@ -39,7 +38,8 @@ type Workspace struct {
 	// layers holds reusable layer headers; each header subslices out.
 	layers [][]int32
 
-	// comp backs ComponentsAliveWithWorkspace results.
+	// comp is the id array ComponentsAliveWithWorkspace returns; callers
+	// read it in place until the next components call.
 	comp []int32
 
 	// Remap is the dense old→new vertex id map used by
@@ -77,11 +77,6 @@ func (ws *Workspace) Reserve(n int) {
 		grown[i] = Unreachable
 	}
 	ws.dist = append(ws.dist, grown...)
-	grownFrom := make([]int32, n-len(ws.from))
-	for i := range grownFrom {
-		grownFrom[i] = -1
-	}
-	ws.from = append(ws.from, grownFrom...)
 	if cap(ws.comp) < n {
 		ws.comp = make([]int32, n)
 	}
@@ -100,24 +95,23 @@ func (ws *Workspace) beginStamp() ([]int32, int32) {
 	return ws.stamp, ws.epoch
 }
 
-// resetDist restores the all-Unreachable / all -1 invariant on dist/from by
-// clearing only the entries dirtied by the previous BFS.
+// resetDist restores the all-Unreachable invariant on dist by clearing
+// only the entries dirtied by the previous BFS.
 func (ws *Workspace) resetDist() {
 	for _, v := range ws.distDirty {
 		ws.dist[v] = Unreachable
-		ws.from[v] = -1
 	}
 	ws.distDirty = ws.distDirty[:0]
 }
 
-// wsPool backs the legacy (workspace-free) wrappers so they stay cheap
-// without changing their allocation contract: results are copied out before
-// the workspace returns to the pool.
+// wsPool lends workspaces to one-shot callers that hold no workspace of
+// their own; see AcquireWorkspace.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace(0) }}
 
 // AcquireWorkspace takes a Workspace from the shared pool. Pair with
-// ReleaseWorkspace. Useful for call sites that want reuse without managing
-// a long-lived workspace of their own.
+// ReleaseWorkspace. Useful for one-shot call sites that want reuse without
+// managing a long-lived workspace of their own; hoist the pair out of any
+// per-vertex or per-cluster loop.
 func AcquireWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
 
 // ReleaseWorkspace returns a workspace to the shared pool. The caller must
@@ -126,8 +120,10 @@ func ReleaseWorkspace(ws *Workspace) { wsPool.Put(ws) }
 
 // --- BFS ------------------------------------------------------------------
 
-// BFSBoundedWithWorkspace is BFSBounded on reusable storage. The returned
-// slice aliases the workspace and is valid until its next use.
+// BFSBoundedWithWorkspace computes distances from src up to the given
+// radius (inclusive). A negative radius means unbounded. dist[v] ==
+// Unreachable for vertices beyond the radius or in other components. The
+// returned slice aliases the workspace and is valid until its next use.
 func (g *Graph) BFSBoundedWithWorkspace(ws *Workspace, src, radius int) []int32 {
 	n := g.N()
 	ws.Reserve(n)
@@ -157,54 +153,14 @@ func (g *Graph) BFSBoundedWithWorkspace(ws *Workspace, src, radius int) []int32 
 	return dist
 }
 
-// BFSWithWorkspace is BFS on reusable storage; see BFSBoundedWithWorkspace.
-func (g *Graph) BFSWithWorkspace(ws *Workspace, src int) []int32 {
-	return g.BFSBoundedWithWorkspace(ws, src, -1)
-}
-
-// MultiBFSWithWorkspace is MultiBFS on reusable storage. Both returned
-// slices alias the workspace and are valid until its next use.
-func (g *Graph) MultiBFSWithWorkspace(ws *Workspace, sources []int) (dist []int32, from []int32) {
-	n := g.N()
-	ws.Reserve(n)
-	ws.resetDist()
-	dist = ws.dist[:n]
-	from = ws.from[:n]
-	q := ws.queue[:0]
-	for _, s := range sources {
-		if s < 0 || s >= n || dist[s] == 0 {
-			continue
-		}
-		dist[s] = 0
-		from[s] = int32(s)
-		q = append(q, int32(s))
-	}
-	for head := 0; head < len(q); head++ {
-		v := q[head]
-		for _, w := range g.Neighbors(int(v)) {
-			if dist[w] == Unreachable {
-				dist[w] = dist[v] + 1
-				from[w] = from[v]
-				q = append(q, w)
-			}
-		}
-	}
-	// Swap, don't copy: the dirtied entries are exactly the queue contents.
-	ws.queue, ws.distDirty = ws.distDirty[:0], q
-	return dist, from
-}
-
 // --- Balls and layers -----------------------------------------------------
 
-// BallWithWorkspace is Ball on reusable storage; the result aliases the
-// workspace.
-func (g *Graph) BallWithWorkspace(ws *Workspace, v, k int) []int32 {
-	return g.BallAliveWithWorkspace(ws, v, k, nil)
-}
-
-// BallAliveWithWorkspace is BallAlive on reusable storage: the output
-// buffer doubles as the BFS queue, so a warm call performs zero
-// allocations. The result aliases the workspace.
+// BallAliveWithWorkspace returns the vertices of N^k(v) = {u : dist(u,v)
+// <= k} in the subgraph induced by vertices u with alive[u] == true, in BFS
+// order (hence sorted by distance), including v itself. A nil alive mask
+// means all vertices are alive. If v itself is dead the ball is empty
+// (nil). The output buffer doubles as the BFS queue, so a warm call
+// performs zero allocations. The result aliases the workspace.
 func (g *Graph) BallAliveWithWorkspace(ws *Workspace, v, k int, alive []bool) []int32 {
 	if v < 0 || v >= g.N() {
 		return nil
@@ -213,9 +169,12 @@ func (g *Graph) BallAliveWithWorkspace(ws *Workspace, v, k int, alive []bool) []
 	return g.ballCore(ws, seed[:], k, alive, false)
 }
 
-// BallLayersWithWorkspace is BallLayers on reusable storage: the layers
-// subslice a single flat buffer and the headers are reused, so a warm call
-// performs zero allocations. The result aliases the workspace.
+// BallLayersWithWorkspace returns the layers S_0, S_1, ..., S_k of the BFS
+// from v in the alive-induced subgraph: S_j is the set of alive vertices at
+// distance exactly j from v. Trailing empty layers are trimmed, and a dead
+// v gives nil. The layers subslice a single flat buffer and the headers are
+// reused, so a warm call performs zero allocations. The result aliases the
+// workspace.
 func (g *Graph) BallLayersWithWorkspace(ws *Workspace, v, k int, alive []bool) [][]int32 {
 	if v < 0 || v >= g.N() {
 		return nil
@@ -328,13 +287,10 @@ func ViewBall(ws *Workspace, v View, seeds []int32, radius int) []int32 {
 
 // --- Components -----------------------------------------------------------
 
-// ComponentsWithWorkspace is Components on reusable storage; the result
-// aliases the workspace.
-func (g *Graph) ComponentsWithWorkspace(ws *Workspace) (comp []int32, count int) {
-	return g.ComponentsAliveWithWorkspace(ws, nil)
-}
-
-// ComponentsAliveWithWorkspace is ComponentsAlive on reusable storage; the
+// ComponentsAliveWithWorkspace returns the connected-component id of each
+// vertex in the alive-induced subgraph and the number of components. Ids
+// are dense, 0-based, in order of first discovery; dead vertices get
+// component id -1. A nil alive mask means all vertices are alive. The
 // result aliases the workspace.
 func (g *Graph) ComponentsAliveWithWorkspace(ws *Workspace, alive []bool) (comp []int32, count int) {
 	n := g.N()
@@ -368,11 +324,13 @@ func (g *Graph) ComponentsAliveWithWorkspace(ws *Workspace, alive []bool) (comp 
 
 // --- Induced and Power ----------------------------------------------------
 
-// InducedWithWorkspace is Induced on reusable storage: the old→new mapping
-// uses the workspace's dense Remap instead of a hash map, and the result
-// graph is built directly in CSR form inside workspace-owned buffers. Both
-// returned values alias the workspace and are valid until its next
-// InducedWithWorkspace call.
+// InducedWithWorkspace builds the subgraph induced by the given vertex set.
+// It returns the new graph and the mapping newID -> oldID; new ids follow
+// first appearance in the input, and duplicates are collapsed. The old→new
+// mapping uses the workspace's dense Remap instead of a hash map, and the
+// result graph is built directly in CSR form inside workspace-owned
+// buffers. Both returned values alias the workspace and are valid until its
+// next InducedWithWorkspace call.
 func (g *Graph) InducedWithWorkspace(ws *Workspace, vertices []int32) (*Graph, []int32) {
 	ws.Reserve(g.N())
 	rm := &ws.Remap
@@ -426,16 +384,19 @@ func (g *Graph) InducedWithWorkspace(ws *Workspace, vertices []int32) (*Graph, [
 	return &ws.indG, newToOld
 }
 
-// PowerWithWorkspace is Power with the per-vertex ball queries running on
-// the workspace. The returned graph is freshly allocated (it does not alias
-// the workspace).
+// PowerWithWorkspace returns the k-th power graph G^k: same vertex set, an
+// edge between any two distinct vertices at distance <= k in G. For k <= 1
+// it returns g itself (Graph is immutable). Quadratic in ball sizes;
+// intended for the moderate k used by the GKM baseline. The per-vertex ball
+// queries run on the workspace, but the returned graph is freshly allocated
+// (it does not alias the workspace).
 func (g *Graph) PowerWithWorkspace(ws *Workspace, k int) *Graph {
 	if k <= 1 {
 		return g
 	}
 	b := NewBuilder(g.N())
 	for v := 0; v < g.N(); v++ {
-		for _, u := range g.BallWithWorkspace(ws, v, k) {
+		for _, u := range g.BallAliveWithWorkspace(ws, v, k, nil) {
 			if int(u) > v {
 				b.AddEdge(v, int(u))
 			}
@@ -454,9 +415,9 @@ func growInt32(buf []int32, n int) []int32 {
 
 // --- Eccentricity and diameters -------------------------------------------
 
-// EccentricityWithWorkspace is Eccentricity on reusable storage.
+// EccentricityWithWorkspace returns max_u dist(v, u) within v's component.
 func (g *Graph) EccentricityWithWorkspace(ws *Workspace, v int) int {
-	dist := g.BFSWithWorkspace(ws, v)
+	dist := g.BFSBoundedWithWorkspace(ws, v, -1)
 	best := 0
 	for _, d := range dist {
 		if int(d) > best {
@@ -466,11 +427,13 @@ func (g *Graph) EccentricityWithWorkspace(ws *Workspace, v int) int {
 	return best
 }
 
-// DiameterWithWorkspace is Diameter on reusable storage.
+// DiameterWithWorkspace returns the maximum eccentricity over all
+// vertices, treating each connected component separately and returning the
+// max over components. Returns 0 for an empty or edgeless graph.
 func (g *Graph) DiameterWithWorkspace(ws *Workspace) int {
 	best := 0
 	for s := 0; s < g.N(); s++ {
-		dist := g.BFSWithWorkspace(ws, s)
+		dist := g.BFSBoundedWithWorkspace(ws, s, -1)
 		for _, d := range dist {
 			if int(d) > best {
 				best = int(d)
@@ -480,11 +443,13 @@ func (g *Graph) DiameterWithWorkspace(ws *Workspace) int {
 	return best
 }
 
-// WeakDiameterWithWorkspace is WeakDiameter on reusable storage.
+// WeakDiameterWithWorkspace returns max over u,v in S of dist_G(u, v):
+// distances are measured in the whole graph g, not the induced subgraph.
+// Returns -1 if some pair of S is disconnected in g.
 func (g *Graph) WeakDiameterWithWorkspace(ws *Workspace, s []int32) int {
 	best := 0
 	for _, v := range s {
-		dist := g.BFSWithWorkspace(ws, int(v))
+		dist := g.BFSBoundedWithWorkspace(ws, int(v), -1)
 		for _, u := range s {
 			d := dist[u]
 			if d == Unreachable {
@@ -498,12 +463,13 @@ func (g *Graph) WeakDiameterWithWorkspace(ws *Workspace, s []int32) int {
 	return best
 }
 
-// StrongDiameterWithWorkspace is StrongDiameter on reusable storage. It
-// uses the workspace's Induced buffers and traversal buffers back to back;
-// the two sets do not overlap, so a single workspace suffices.
+// StrongDiameterWithWorkspace returns the diameter of the subgraph induced
+// by S, or -1 if that subgraph is disconnected. It uses the workspace's
+// Induced buffers and traversal buffers back to back; the two sets do not
+// overlap, so a single workspace suffices.
 func (g *Graph) StrongDiameterWithWorkspace(ws *Workspace, s []int32) int {
 	sub, _ := g.InducedWithWorkspace(ws, s)
-	_, count := sub.ComponentsWithWorkspace(ws)
+	_, count := sub.ComponentsAliveWithWorkspace(ws, nil)
 	if count > 1 {
 		return -1
 	}

@@ -111,6 +111,33 @@ func refBallLayers(g *graph.Graph, v, k int, alive []bool) [][]int32 {
 	return layers
 }
 
+func refComponentsAlive(g *graph.Graph, alive []bool) ([]int32, int) {
+	comp := make([]int32, g.N())
+	for i := range comp {
+		comp[i] = -1
+	}
+	count := 0
+	for s := 0; s < g.N(); s++ {
+		if comp[s] != -1 || (alive != nil && !alive[s]) {
+			continue
+		}
+		comp[s] = int32(count)
+		queue := []int32{int32(s)}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, w := range g.Neighbors(int(v)) {
+				if comp[w] == -1 && (alive == nil || alive[w]) {
+					comp[w] = int32(count)
+					queue = append(queue, w)
+				}
+			}
+		}
+		count++
+	}
+	return comp, count
+}
+
 // --- Equivalence: workspace variants vs reference semantics ----------------
 
 func TestWorkspaceTraversalsMatchReference(t *testing.T) {
@@ -149,22 +176,17 @@ func TestWorkspaceTraversalsMatchReference(t *testing.T) {
 	}
 }
 
-func TestWorkspaceComponentsAndMultiBFSMatchWrappers(t *testing.T) {
+func TestWorkspaceComponentsMatchReference(t *testing.T) {
 	ws := graph.NewWorkspace(0)
 	g := randomGraph(150, 170, 99)
 	alive := randomAlive(150, 5)
-
-	wantComp, wantCount := g.ComponentsAlive(alive)
-	gotComp, gotCount := g.ComponentsAliveWithWorkspace(ws, alive)
-	if wantCount != gotCount || !reflect.DeepEqual(wantComp, append([]int32(nil), gotComp...)) {
-		t.Fatal("ComponentsAlive mismatch between wrapper and workspace variant")
-	}
-
-	sources := []int{3, 77, 149, 3}
-	wantD, wantF := g.MultiBFS(sources)
-	gotD, gotF := g.MultiBFSWithWorkspace(ws, sources)
-	if !reflect.DeepEqual(wantD, append([]int32(nil), gotD...)) || !reflect.DeepEqual(wantF, append([]int32(nil), gotF...)) {
-		t.Fatal("MultiBFS mismatch between wrapper and workspace variant")
+	for _, a := range [][]bool{nil, alive} {
+		wantComp, wantCount := refComponentsAlive(g, a)
+		gotComp, gotCount := g.ComponentsAliveWithWorkspace(ws, a)
+		if wantCount != gotCount || !reflect.DeepEqual(wantComp, append([]int32(nil), gotComp...)) {
+			t.Fatalf("ComponentsAlive(alive nil=%v) mismatch: want %d components %v, got %d %v",
+				a == nil, wantCount, wantComp, gotCount, gotComp)
+		}
 	}
 }
 
@@ -221,7 +243,7 @@ func TestBallOutputStableAcrossReuse(t *testing.T) {
 	alive := randomAlive(200, 11)
 	ws := graph.NewWorkspace(0)
 	for v := 0; v < g.N(); v += 7 {
-		fresh := g.BallAlive(v, 4, alive)
+		fresh := g.BallAliveWithWorkspace(graph.NewWorkspace(0), v, 4, alive)
 		warm := append([]int32(nil), g.BallAliveWithWorkspace(ws, v, 4, alive)...)
 		// Interleave other traversals, then re-query.
 		g.BFSBoundedWithWorkspace(ws, (v+13)%g.N(), 3)
@@ -272,7 +294,7 @@ func TestConcurrentWorkspaces(t *testing.T) {
 	alive := randomAlive(300, 9)
 	want := make([][]int32, g.N())
 	for v := range want {
-		want[v] = g.BallAlive(v, 5, alive)
+		want[v] = refBallAlive(g, v, 5, alive)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -159,8 +159,10 @@ func ClosedNeighborhoods(g *graph.Graph) *H {
 // hypergraph costs k rounds on g; SimulationCost reports that factor.
 func DistanceNeighborhoods(g *graph.Graph, k int) *H {
 	b := NewBuilder(g.N())
+	ws := graph.AcquireWorkspace()
+	defer graph.ReleaseWorkspace(ws)
 	for v := 0; v < g.N(); v++ {
-		ball := g.Ball(v, k)
+		ball := g.BallAliveWithWorkspace(ws, v, k, nil)
 		vs := make([]int, len(ball))
 		for i, u := range ball {
 			vs[i] = int(u)
@@ -176,9 +178,11 @@ func DistanceNeighborhoods(g *graph.Graph, k int) *H {
 // it is the maximum, over hyperedges, of the weak diameter of the hyperedge
 // in g — the distance any two co-edge vertices must bridge.
 func SimulationCost(g *graph.Graph, h *H) int {
+	ws := graph.AcquireWorkspace()
+	defer graph.ReleaseWorkspace(ws)
 	cost := 0
 	for e := 0; e < h.M(); e++ {
-		wd := g.WeakDiameter(h.Edge(e))
+		wd := g.WeakDiameterWithWorkspace(ws, h.Edge(e))
 		if wd > cost {
 			cost = wd
 		}

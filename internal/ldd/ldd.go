@@ -78,9 +78,11 @@ func (d *Decomposition) Clusters() [][]int32 {
 // in g. Empty decompositions yield 0; a cluster disconnected in g yields -1
 // (which callers should treat as a failure).
 func (d *Decomposition) MaxWeakDiameter(g *graph.Graph) int {
+	ws := graph.AcquireWorkspace()
+	defer graph.ReleaseWorkspace(ws)
 	best := 0
 	for _, cluster := range d.Clusters() {
-		wd := g.WeakDiameter(cluster)
+		wd := g.WeakDiameterWithWorkspace(ws, cluster)
 		if wd == -1 {
 			return -1
 		}
@@ -94,9 +96,11 @@ func (d *Decomposition) MaxWeakDiameter(g *graph.Graph) int {
 // MaxStrongDiameter returns the maximum strong (induced-subgraph) diameter
 // over clusters, or -1 if some cluster's induced subgraph is disconnected.
 func (d *Decomposition) MaxStrongDiameter(g *graph.Graph) int {
+	ws := graph.AcquireWorkspace()
+	defer graph.ReleaseWorkspace(ws)
 	best := 0
 	for _, cluster := range d.Clusters() {
-		sd := g.StrongDiameter(cluster)
+		sd := g.StrongDiameterWithWorkspace(ws, cluster)
 		if sd == -1 {
 			return -1
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/hypergraph"
 )
@@ -462,8 +463,9 @@ func TestSequentialLDD(t *testing.T) {
 	}
 	// Diameter bound.
 	bound := int(2*math.Log(float64(g.N()))/math.Log1p(eps)) + 2
+	ws := graph.NewWorkspace(g.N())
 	for _, c := range clusters {
-		if sd := g.StrongDiameter(c); sd == -1 || sd > bound {
+		if sd := g.StrongDiameterWithWorkspace(ws, c); sd == -1 || sd > bound {
 			t.Fatalf("cluster diameter %d > %d", sd, bound)
 		}
 	}

@@ -85,6 +85,8 @@ func RepairDiameterCtx(ctx context.Context, g *graph.Graph, d *Decomposition, ep
 	}
 	nextID := int32(0)
 	mask := make([]bool, g.N())
+	ws := graph.AcquireWorkspace()
+	defer graph.ReleaseWorkspace(ws)
 	done := ctx.Done()
 	for _, cluster := range d.Clusters() {
 		if done != nil {
@@ -96,7 +98,7 @@ func RepairDiameterCtx(ctx context.Context, g *graph.Graph, d *Decomposition, ep
 		}
 		needsRepair := false
 		if len(cluster) > 1 {
-			sd := g.StrongDiameter(cluster)
+			sd := g.StrongDiameterWithWorkspace(ws, cluster)
 			needsRepair = sd < 0 || sd > target
 		}
 		if !needsRepair {

@@ -50,9 +50,11 @@ func (c *Cover) MeanMultiplicity() float64 {
 
 // MaxWeakDiameter returns the max weak diameter of the clusters in g.
 func (c *Cover) MaxWeakDiameter(g *graph.Graph) int {
+	ws := graph.AcquireWorkspace()
+	defer graph.ReleaseWorkspace(ws)
 	best := 0
 	for _, cl := range c.Clusters {
-		wd := g.WeakDiameter(cl)
+		wd := g.WeakDiameterWithWorkspace(ws, cl)
 		if wd == -1 {
 			return -1
 		}

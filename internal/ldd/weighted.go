@@ -162,7 +162,7 @@ func ChangLiWeightedCtx(ctx context.Context, g *graph.Graph, w []int64, p Params
 	for v := range clusterOf {
 		clusterOf[v] = Unclustered
 	}
-	comp, count := g.ComponentsAlive(removed)
+	comp, count := g.ComponentsAliveWithWorkspace(wss[0], removed)
 	for v := 0; v < n; v++ {
 		if removed[v] {
 			clusterOf[v] = comp[v]

@@ -81,7 +81,7 @@ func runFlood(t *testing.T, g *graph.Graph, root int, sequential bool) []int {
 func TestFloodMatchesBFS(t *testing.T) {
 	g := gen.Grid(8, 9)
 	dist := runFlood(t, g, 0, true)
-	want := g.BFS(0)
+	want := g.BFSBoundedWithWorkspace(graph.NewWorkspace(0), 0, -1)
 	for v := range dist {
 		if dist[v] != int(want[v]) {
 			t.Fatalf("vertex %d: flood=%d bfs=%d", v, dist[v], want[v])

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/xrand"
 )
@@ -34,11 +35,12 @@ func TestClusterDiameter(t *testing.T) {
 	g := gen.Cycle(2000)
 	d := Decompose(g, Params{Seed: 2, Lambda: 0.5})
 	bound := int(8*math.Log(float64(g.N()))/0.5) + 1
+	ws := graph.NewWorkspace(g.N())
 	for _, cluster := range d.Clusters() {
 		if len(cluster) == 0 {
 			continue
 		}
-		if wd := g.WeakDiameter(cluster); wd == -1 || wd > bound {
+		if wd := g.WeakDiameterWithWorkspace(ws, cluster); wd == -1 || wd > bound {
 			t.Fatalf("cluster weak diameter %d > %d", wd, bound)
 		}
 	}

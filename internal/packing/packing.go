@@ -301,7 +301,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	defer endSolves()
 	solution := inst.NewSolution()
 	comps := 0
-	comp, count := g.ComponentsAlive(removed)
+	comp, count := g.ComponentsAliveWithWorkspace(wss[0].G, removed)
 	regions := make([][]int32, count)
 	for v := 0; v < n; v++ {
 		if removed[v] {

@@ -123,8 +123,10 @@ func BuildK(k int, g *graph.Graph, weights []int64) (*ilp.Instance, error) {
 		weights = unit(g.N())
 	}
 	b := ilp.NewBuilder(ilp.Covering, weights)
+	ws := graph.AcquireWorkspace()
+	defer graph.ReleaseWorkspace(ws)
 	for v := 0; v < g.N(); v++ {
-		ball := g.Ball(v, k)
+		ball := g.BallAliveWithWorkspace(ws, v, k, nil)
 		terms := make([]ilp.Term, len(ball))
 		for i, u := range ball {
 			terms[i] = ilp.Term{Var: int(u), Coeff: 1}
@@ -181,9 +183,11 @@ func VerifyK(p Problem, k int, g *graph.Graph, sol ilp.Solution) bool {
 		})
 		return ok
 	case MinDominatingSet, KDominatingSet:
+		ws := graph.AcquireWorkspace()
+		defer graph.ReleaseWorkspace(ws)
 		for v := 0; v < g.N(); v++ {
 			dominated := false
-			for _, u := range g.Ball(v, k) {
+			for _, u := range g.BallAliveWithWorkspace(ws, v, k, nil) {
 				if sol[u] {
 					dominated = true
 					break

@@ -161,10 +161,12 @@ func VerifyStretch(g *graph.Graph, r *Result) (ok bool, badU, badV int) {
 	s := r.Graph(g.N())
 	ok = true
 	badU, badV = -1, -1
+	ws := graph.AcquireWorkspace()
+	defer graph.ReleaseWorkspace(ws)
 	// BFS in the spanner from each endpoint of a violating candidate would
 	// be O(n·m); instead BFS once per vertex bounded by stretch.
 	for u := 0; u < g.N() && ok; u++ {
-		dist := s.BFSBounded(u, r.Stretch)
+		dist := s.BFSBoundedWithWorkspace(ws, u, r.Stretch)
 		for _, w := range g.Neighbors(u) {
 			if int(w) < u {
 				continue

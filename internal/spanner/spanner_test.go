@@ -74,8 +74,8 @@ func TestSpannerConnectivityPreserved(t *testing.T) {
 	g := gen.GNP(120, 0.08, rng)
 	r := BaswanaSen(g, 3, 9)
 	s := r.Graph(g.N())
-	compG, nG := g.Components()
-	compS, nS := s.Components()
+	compG, nG := g.ComponentsAliveWithWorkspace(graph.NewWorkspace(0), nil)
+	compS, nS := s.ComponentsAliveWithWorkspace(graph.NewWorkspace(0), nil)
 	if nG != nS {
 		t.Fatalf("components: graph %d, spanner %d", nG, nS)
 	}

@@ -243,9 +243,10 @@ func TestSnapshotBallMatchesGraphBall(t *testing.T) {
 	}
 	snap := st.Snapshot()
 	mat := snap.Graph()
+	ws := graph.NewWorkspace(mat.N())
 	for _, v := range []int{0, 17, 149} {
 		for k := 0; k <= 3; k++ {
-			got, want := snap.Ball(v, k), mat.Ball(v, k)
+			got, want := snap.Ball(v, k), mat.BallAliveWithWorkspace(ws, v, k, nil)
 			if len(got) != len(want) {
 				t.Fatalf("v=%d k=%d: overlay ball size %d != %d", v, k, len(got), len(want))
 			}
